@@ -171,6 +171,60 @@ TEST(GoldenScores, FlagshipNoisyScoresMatchFixture) {
     check_fixture("flagship_noisy_scores.csv", {"noisy"}, {noisy});
 }
 
+/// Amplitude-encoded per_shot: every shot replays resets and the final
+/// measure stochastically. Level 2 resets two qubits before the measure,
+/// so a shot draws up to three outcomes.
+core::quorum_config per_shot_config() {
+    core::quorum_config config =
+        flagship_config(core::exec_mode::per_shot, 2);
+    config.compression_levels = {1, 2};
+    config.shots = 512;
+    return config;
+}
+
+TEST(GoldenScores, FlagshipPerShotScoresMatchFixture) {
+    if (env_flag("QUORUM_SKIP_GOLDEN_FIXTURES")) {
+        GTEST_SKIP() << "golden fixtures skipped (non-CI platform)";
+    }
+    const data::dataset d = flagship_dataset(12);
+    const std::vector<double> per_shot = score_with(per_shot_config(), d);
+    check_fixture("flagship_per_shot_scores.csv", {"per_shot"}, {per_shot});
+}
+
+TEST(GoldenScores, ShardedAndRemotePerShotReproducePlainScores) {
+    const data::dataset d = flagship_dataset(12);
+    const std::vector<double> reference = score_with(per_shot_config(), d);
+    std::vector<core::quorum_config> variants;
+    core::quorum_config sharded = per_shot_config();
+    sharded.backend = "sharded:statevector";
+    sharded.shards = 2;
+    variants.push_back(sharded);
+#ifdef QUORUM_WORKER_BIN
+    const char* old = std::getenv("QUORUM_WORKER");
+    const std::string saved = old == nullptr ? "" : old;
+    setenv("QUORUM_WORKER", QUORUM_WORKER_BIN, 1);
+    core::quorum_config remote = per_shot_config();
+    remote.backend = "remote:statevector";
+    remote.shards = 2;
+    variants.push_back(remote);
+#endif
+    for (const core::quorum_config& config : variants) {
+        const std::vector<double> scores = score_with(config, d);
+        ASSERT_EQ(scores.size(), reference.size());
+        for (std::size_t i = 0; i < scores.size(); ++i) {
+            EXPECT_EQ(scores[i], reference[i])
+                << config.backend << " sample=" << i;
+        }
+    }
+#ifdef QUORUM_WORKER_BIN
+    if (old == nullptr) {
+        unsetenv("QUORUM_WORKER");
+    } else {
+        setenv("QUORUM_WORKER", saved.c_str(), 1);
+    }
+#endif
+}
+
 #ifdef QUORUM_WORKER_BIN
 TEST(GoldenScores, RemoteDetectorReproducesPlainScoresBitForBit) {
     // End-to-end worker-count invariance: the full detector run through
