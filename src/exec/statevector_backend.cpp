@@ -1,6 +1,7 @@
 #include "exec/statevector_backend.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <utility>
 
 #include "qml/observables.h"
@@ -537,6 +538,141 @@ private:
     replay_buffers buffers_;
 };
 
+/// Applies fused unitaries from `pos` up to the next reset/measure (or
+/// the end of the suffix) and returns that op's index.
+std::size_t run_to_collapse(statevector& state,
+                            const std::vector<fused_op>& fused,
+                            std::size_t pos, std::span<amp> scratch) {
+    for (; pos < fused.size() && fused[pos].op == fused_op::kind::unitary;
+         ++pos) {
+        apply_fused_unitary(state, fused[pos], scratch);
+    }
+    return pos;
+}
+
+/// The state change a shot's reset/measure makes once its outcome is
+/// drawn (measure_collapse minus the draw), tracking the target cbit.
+void apply_outcome(statevector& state, const fused_op& op, bool outcome,
+                   int target_cbit, bool& target_bit) {
+    const qubit_t q = op.qubits[0];
+    state.collapse(q, outcome);
+    if (op.op == fused_op::kind::reset) {
+        if (outcome) {
+            const qubit_t operand[] = {q};
+            state.apply_gate(gate_kind::x, operand);
+        }
+    } else if (op.cbit == target_cbit) {
+        target_bit = outcome;
+    }
+}
+
+/// A node of one sample's per-shot outcome tree. The state a shot reaches
+/// after a given sequence of reset/measure outcomes depends only on that
+/// sequence, so a node keeps what a walk reads there — the next
+/// collapse's P(1), or at a leaf the target cbit — and no statevector.
+struct outcome_node {
+    static constexpr std::uint32_t none = UINT32_MAX;
+    double p_one = 0.0;
+    std::uint32_t child[2] = {none, none};
+    bool leaf = false;
+    bool cbit = false;
+};
+
+outcome_node node_at(const statevector& state,
+                     const std::vector<fused_op>& fused, std::size_t pos,
+                     bool target_bit) {
+    outcome_node node;
+    node.leaf = pos == fused.size();
+    node.cbit = target_bit;
+    if (!node.leaf) {
+        node.p_one = state.probability_one(fused[pos].qubits[0]);
+    }
+    return node;
+}
+
+/// Per-shot stochastic replay over the fused suffix. The unitary head
+/// before the first reset/measure is shot-independent and runs once per
+/// sample. Shots then walk a lazily grown outcome tree, calling
+/// gen.bernoulli(p_one) at each node in the order a full replay would:
+/// bernoulli consumes a draw exactly when 0 < p < 1, and p_one is
+/// computed on the very state the replay would reach, so counts and rng
+/// streams match a shot-by-shot replay bit for bit. A missing child costs
+/// one replay from the post-head state along the outcomes already drawn;
+/// that replay then grows the tree down to a leaf, so a sample replays
+/// at most once per distinct leaf.
+void run_per_shot(std::size_t shots, const program& prog,
+                  std::span<const sample> samples, std::span<double> out) {
+    QUORUM_EXPECTS_MSG(prog.readout.kind == readout_kind::cbit_probability,
+                       "per-shot sampling reads a classical bit");
+    QUORUM_EXPECTS_MSG(prog.circuit.has_fused_suffix(),
+                       "per-shot replay requires a program compiled with "
+                       "fusion enabled");
+    const std::vector<fused_op>& fused = prog.circuit.fused_suffix();
+    std::size_t max_block = 2;
+    for (const fused_op& op : fused) {
+        if (op.op == fused_op::kind::unitary) {
+            max_block = std::max(max_block, std::size_t{1}
+                                                << op.qubits.size());
+        }
+    }
+    replay_buffers buffers;
+    buffers.scratch.resize(max_block);
+    const int target_cbit = prog.readout.cbit;
+    QUORUM_EXPECTS_MSG(static_cast<std::size_t>(target_cbit) <
+                           prog.circuit.num_clbits(),
+                       "per-shot readout cbit out of range");
+
+    statevector work;
+    statevector base;
+    std::vector<outcome_node> tree;
+    std::vector<bool> path; // outcomes the current shot has drawn
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+        prepare_state_into(prog.circuit, samples[i], buffers, base);
+        const std::size_t head_end =
+            run_to_collapse(base, fused, 0, buffers.scratch);
+        util::rng& gen = *samples[i].gen;
+        tree.clear();
+        tree.push_back(node_at(base, fused, head_end, false));
+        std::size_t ones = 0;
+        for (std::size_t shot = 0; shot < shots; ++shot) {
+            path.clear();
+            bool live = false; // `work` holds the state at `node`
+            std::size_t pos = head_end;
+            bool target_bit = false;
+            std::uint32_t node = 0;
+            while (!tree[node].leaf) {
+                const bool outcome = gen.bernoulli(tree[node].p_one);
+                std::uint32_t next = tree[node].child[outcome];
+                if (next == outcome_node::none) {
+                    if (!live) {
+                        work = base;
+                        pos = head_end;
+                        target_bit = false;
+                        for (const bool drawn : path) {
+                            apply_outcome(work, fused[pos], drawn,
+                                          target_cbit, target_bit);
+                            pos = run_to_collapse(work, fused, pos + 1,
+                                                  buffers.scratch);
+                        }
+                        live = true;
+                    }
+                    apply_outcome(work, fused[pos], outcome, target_cbit,
+                                  target_bit);
+                    pos = run_to_collapse(work, fused, pos + 1,
+                                          buffers.scratch);
+                    next = static_cast<std::uint32_t>(tree.size());
+                    tree.push_back(node_at(work, fused, pos, target_bit));
+                    tree[node].child[outcome] = next;
+                }
+                path.push_back(outcome);
+                node = next;
+            }
+            ones += static_cast<std::size_t>(tree[node].cbit);
+        }
+        out[i] = static_cast<double>(ones) / static_cast<double>(shots);
+    }
+}
+
 } // namespace
 
 statevector_backend::statevector_backend(engine_config config)
@@ -633,71 +769,7 @@ void statevector_backend::run_batch(const program& prog,
         return;
     }
 
-    // Per-shot stochastic replay over the fused suffix. The unitary head
-    // before the first reset/measure is shot-independent, so it is applied
-    // once per sample and only the stochastic tail re-runs per shot.
-    QUORUM_EXPECTS_MSG(prog.readout.kind == readout_kind::cbit_probability,
-                       "per-shot sampling reads a classical bit");
-    QUORUM_EXPECTS_MSG(prog.circuit.has_fused_suffix(),
-                       "per-shot replay requires a program compiled with "
-                       "fusion enabled");
-    const std::vector<fused_op>& fused = prog.circuit.fused_suffix();
-    std::size_t head_end = 0;
-    while (head_end < fused.size() &&
-           fused[head_end].op == fused_op::kind::unitary) {
-        ++head_end;
-    }
-    std::size_t max_block = 2;
-    for (const fused_op& op : fused) {
-        if (op.op == fused_op::kind::unitary) {
-            max_block = std::max(max_block, std::size_t{1}
-                                                << op.qubits.size());
-        }
-    }
-    replay_buffers buffers;
-    buffers.scratch.resize(max_block);
-    std::vector<bool> cbits(prog.circuit.num_clbits(), false);
-    const auto target_cbit = static_cast<std::size_t>(prog.readout.cbit);
-    QUORUM_EXPECTS_MSG(target_cbit < cbits.size(),
-                       "per-shot readout cbit out of range");
-
-    statevector work(std::max<std::size_t>(prog.circuit.num_qubits(), 1));
-    statevector base;
-    for (std::size_t i = 0; i < samples.size(); ++i) {
-        prepare_state_into(prog.circuit, samples[i], buffers, base);
-        for (std::size_t k = 0; k < head_end; ++k) {
-            apply_fused_unitary(base, fused[k], buffers.scratch);
-        }
-        util::rng& gen = *samples[i].gen;
-        std::size_t ones = 0;
-        for (std::size_t shot = 0; shot < config_.shots; ++shot) {
-            work = base;
-            std::fill(cbits.begin(), cbits.end(), false);
-            for (std::size_t k = head_end; k < fused.size(); ++k) {
-                const fused_op& op = fused[k];
-                switch (op.op) {
-                case fused_op::kind::unitary:
-                    apply_fused_unitary(work, op, buffers.scratch);
-                    break;
-                case fused_op::kind::reset: {
-                    const qubit_t q = op.qubits[0];
-                    if (work.measure_collapse(q, gen)) {
-                        const qubit_t operand[] = {q};
-                        work.apply_gate(gate_kind::x, operand);
-                    }
-                    break;
-                }
-                case fused_op::kind::measure:
-                    cbits[static_cast<std::size_t>(op.cbit)] =
-                        work.measure_collapse(op.qubits[0], gen);
-                    break;
-                }
-            }
-            ones += static_cast<std::size_t>(cbits[target_cbit]);
-        }
-        out[i] = static_cast<double>(ones) /
-                 static_cast<double>(config_.shots);
-    }
+    run_per_shot(config_.shots, prog, samples, out);
 }
 
 void statevector_backend::run_batch_levels(std::span<const program> levels,
