@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "qsim/bit_ops.h"
+#include "qsim/kernels.h"
 #include "util/contracts.h"
 
 namespace quorum::qsim {
@@ -32,142 +33,62 @@ amp density_matrix::element(std::size_t row, std::size_t col) const {
     return data_[row * dim_ + col];
 }
 
-void density_matrix::apply_to_axis(const util::cmatrix& m,
-                                   std::span<const qubit_t> qubits,
-                                   bool column_axis) {
-    const std::size_t k = qubits.size();
-    const std::size_t block = std::size_t{1} << k;
-    std::vector<qubit_t> sorted(qubits.begin(), qubits.end());
-    std::sort(sorted.begin(), sorted.end());
-    const std::vector<std::size_t> offsets = make_offsets(qubits);
-
-    std::vector<amp> scratch(block);
-    const std::size_t groups = dim_ >> k;
-    for (std::size_t other = 0; other < dim_; ++other) {
-        for (std::size_t g = 0; g < groups; ++g) {
-            const std::size_t base = expand_index(g, sorted);
-            for (std::size_t j = 0; j < block; ++j) {
-                const std::size_t axis_index = base + offsets[j];
-                const std::size_t linear = column_axis
-                                               ? other * dim_ + axis_index
-                                               : axis_index * dim_ + other;
-                scratch[j] = data_[linear];
-            }
-            for (std::size_t row = 0; row < block; ++row) {
-                amp sum{};
-                for (std::size_t col = 0; col < block; ++col) {
-                    const amp coeff = column_axis ? std::conj(m(row, col))
-                                                  : m(row, col);
-                    sum += coeff * scratch[col];
-                }
-                const std::size_t axis_index = base + offsets[row];
-                const std::size_t linear = column_axis
-                                               ? other * dim_ + axis_index
-                                               : axis_index * dim_ + other;
-                data_[linear] = sum;
-            }
-        }
-    }
-}
-
 void density_matrix::apply_matrix(const util::cmatrix& m,
                                   std::span<const qubit_t> qubits) {
-    const std::size_t block = std::size_t{1} << qubits.size();
+    const std::size_t k = qubits.size();
+    const std::size_t block = std::size_t{1} << k;
     QUORUM_EXPECTS(m.rows() == block && m.cols() == block);
     for (const qubit_t q : qubits) {
         QUORUM_EXPECTS(q < num_qubits_);
     }
-    if (qubits.size() == 1) {
-        apply_1q_fast(m, qubits[0]);
+    // vec(rho) is a 2n-qubit vector: M acts on the row bits Q + n, then
+    // conj(M) on the column bits Q.
+    const kernels::isa which = kernels::active_isa();
+    const std::size_t vec_qubits = 2 * num_qubits_;
+    const std::vector<amp>& u = m.data();
+    std::vector<amp> conj_u(u.size());
+    std::transform(u.begin(), u.end(), conj_u.begin(),
+                   [](const amp& value) { return std::conj(value); });
+    if (k == 1) {
+        const qubit_t q = qubits[0];
+        if (u[1] == amp{} && u[2] == amp{}) {
+            // Diagonal gate (rz and friends): one elementwise pass.
+            const amp f[4] = {u[0] * conj_u[0], u[0] * conj_u[3],
+                              u[3] * conj_u[0], u[3] * conj_u[3]};
+            kernels::density_diagonal(data_.data(), num_qubits_, f, q, which);
+            return;
+        }
+        kernels::apply_1q(data_.data(), vec_qubits, u.data(),
+                          static_cast<qubit_t>(q + num_qubits_), which);
+        kernels::apply_1q(data_.data(), vec_qubits, conj_u.data(), q, which);
         return;
     }
-    apply_to_axis(m, qubits, false); // rho -> M rho
-    apply_to_axis(m, qubits, true);  // rho -> rho M†
+    std::vector<qubit_t> row_qubits(qubits.begin(), qubits.end());
+    for (qubit_t& q : row_qubits) {
+        q += static_cast<qubit_t>(num_qubits_);
+    }
+    std::vector<amp> scratch(block);
+    for (const bool rows : {true, false}) {
+        const std::span<const qubit_t> axis =
+            rows ? std::span<const qubit_t>(row_qubits) : qubits;
+        std::vector<qubit_t> sorted(axis.begin(), axis.end());
+        std::sort(sorted.begin(), sorted.end());
+        kernels::apply_block(data_.data(), vec_qubits,
+                             rows ? u.data() : conj_u.data(), sorted,
+                             make_offsets(axis), scratch.data(), which);
+    }
 }
 
 void density_matrix::apply_gate(gate_kind kind, std::span<const qubit_t> qubits,
                                 std::span<const double> params) {
     if (kind == gate_kind::cx) {
-        apply_cx_fast(qubits[0], qubits[1]);
+        QUORUM_EXPECTS(qubits[0] < num_qubits_ && qubits[1] < num_qubits_ &&
+                       qubits[0] != qubits[1]);
+        kernels::density_cx(data_.data(), num_qubits_, qubits[0], qubits[1],
+                            kernels::active_isa());
         return;
     }
     apply_matrix(gate_matrix(kind, params), qubits);
-}
-
-void density_matrix::apply_1q_fast(const util::cmatrix& m, qubit_t q) {
-    QUORUM_EXPECTS(q < num_qubits_);
-    const amp m00 = m(0, 0);
-    const amp m01 = m(0, 1);
-    const amp m10 = m(1, 0);
-    const amp m11 = m(1, 1);
-    const std::size_t step = std::size_t{1} << q;
-    if (m01 == amp{} && m10 == amp{}) {
-        // Diagonal gate (rz and friends): single elementwise pass,
-        // rho_rc *= d_r * conj(d_c).
-        const std::size_t mask = step;
-        for (std::size_t r = 0; r < dim_; ++r) {
-            const amp row_factor = (r & mask) ? m11 : m00;
-            amp* row = data_.data() + r * dim_;
-            for (std::size_t c = 0; c < dim_; ++c) {
-                row[c] *= row_factor * std::conj((c & mask) ? m11 : m00);
-            }
-        }
-        return;
-    }
-    // Row axis: rho -> M rho (columns are independent vectors).
-    for (std::size_t rb = 0; rb < dim_; rb += 2 * step) {
-        for (std::size_t r = rb; r < rb + step; ++r) {
-            amp* row0 = data_.data() + r * dim_;
-            amp* row1 = data_.data() + (r + step) * dim_;
-            for (std::size_t c = 0; c < dim_; ++c) {
-                const amp a = row0[c];
-                const amp b = row1[c];
-                row0[c] = m00 * a + m01 * b;
-                row1[c] = m10 * a + m11 * b;
-            }
-        }
-    }
-    // Column axis: rho -> rho M† (rows are independent vectors).
-    const amp c00 = std::conj(m00);
-    const amp c01 = std::conj(m01);
-    const amp c10 = std::conj(m10);
-    const amp c11 = std::conj(m11);
-    for (std::size_t r = 0; r < dim_; ++r) {
-        amp* row = data_.data() + r * dim_;
-        for (std::size_t cb = 0; cb < dim_; cb += 2 * step) {
-            for (std::size_t c = cb; c < cb + step; ++c) {
-                const amp a = row[c];
-                const amp b = row[c + step];
-                row[c] = c00 * a + c01 * b;
-                row[c + step] = c10 * a + c11 * b;
-            }
-        }
-    }
-}
-
-void density_matrix::apply_cx_fast(qubit_t control, qubit_t target) {
-    QUORUM_EXPECTS(control < num_qubits_ && target < num_qubits_ &&
-                   control != target);
-    const std::size_t cmask = std::size_t{1} << control;
-    const std::size_t tmask = std::size_t{1} << target;
-    // CX is a basis permutation pi; rho -> pi rho pi^T. Swap rows then cols.
-    for (std::size_t r = 0; r < dim_; ++r) {
-        if ((r & cmask) != 0 && (r & tmask) == 0) {
-            amp* row_a = data_.data() + r * dim_;
-            amp* row_b = data_.data() + (r | tmask) * dim_;
-            for (std::size_t c = 0; c < dim_; ++c) {
-                std::swap(row_a[c], row_b[c]);
-            }
-        }
-    }
-    for (std::size_t r = 0; r < dim_; ++r) {
-        amp* row = data_.data() + r * dim_;
-        for (std::size_t c = 0; c < dim_; ++c) {
-            if ((c & cmask) != 0 && (c & tmask) == 0) {
-                std::swap(row[c], row[c | tmask]);
-            }
-        }
-    }
 }
 
 void density_matrix::apply_thermal(qubit_t q, double gamma, double lambda) {
@@ -177,41 +98,8 @@ void density_matrix::apply_thermal(qubit_t q, double gamma, double lambda) {
     if (gamma == 0.0 && lambda == 0.0) {
         return;
     }
-    const std::size_t mask = std::size_t{1} << q;
-    // Closed form on 2x2 sub-blocks indexed by the q bit of (row, col):
-    //   rho_00' = rho_00 + gamma rho_11        (population decays to |0>)
-    //   rho_11' = (1 - gamma) rho_11
-    //   rho_01' = k rho_01,  rho_10' = k rho_10, k = sqrt((1-gamma)(1-lambda))
-    const double keep = std::sqrt((1.0 - gamma) * (1.0 - lambda));
-    for (std::size_t r = 0; r < dim_; ++r) {
-        const bool rbit = (r & mask) != 0;
-        amp* row = data_.data() + r * dim_;
-        for (std::size_t c = 0; c < dim_; ++c) {
-            const bool cbit = (c & mask) != 0;
-            if (rbit != cbit) {
-                row[c] *= keep;
-            } else if (rbit) {
-                // Handled jointly with the paired 00 entry below; scale here
-                // and add the transfer when visiting the 00 entry.
-                continue;
-            }
-        }
-    }
-    // Population transfer pass: for every (r, c) with both q bits set,
-    // move gamma * rho_11 into the corresponding bit-cleared entry.
-    for (std::size_t r = 0; r < dim_; ++r) {
-        if ((r & mask) == 0) {
-            continue;
-        }
-        for (std::size_t c = 0; c < dim_; ++c) {
-            if ((c & mask) == 0) {
-                continue;
-            }
-            const amp one_one = data_[r * dim_ + c];
-            data_[(r & ~mask) * dim_ + (c & ~mask)] += gamma * one_one;
-            data_[r * dim_ + c] = (1.0 - gamma) * one_one;
-        }
-    }
+    kernels::density_thermal(data_.data(), num_qubits_, q, gamma, lambda,
+                             kernels::active_isa());
 }
 
 void density_matrix::apply_kraus(std::span<const util::cmatrix> kraus_ops,
@@ -235,10 +123,6 @@ void density_matrix::depolarize(std::span<const qubit_t> qubits, double p) {
         return;
     }
     const std::size_t k = qubits.size();
-    const std::size_t block = std::size_t{1} << k;
-    std::vector<qubit_t> sorted(qubits.begin(), qubits.end());
-    std::sort(sorted.begin(), sorted.end());
-
     if (k == num_qubits_) {
         // Depolarizing the whole register: rho -> (1-p) rho + p I/dim.
         const double mix = p / static_cast<double>(dim_);
@@ -251,71 +135,28 @@ void density_matrix::depolarize(std::span<const qubit_t> qubits, double p) {
         return;
     }
 
+    for (const qubit_t q : qubits) {
+        QUORUM_EXPECTS(q < num_qubits_);
+    }
     if (k == 1) {
-        // Single-qubit fast path (the noisy runner's hot loop): one pass.
-        //   same-bit blocks mix pairwise, opposite-bit blocks scale.
-        const std::size_t mask = std::size_t{1} << qubits[0];
-        const double keep = 1.0 - p;
-        const double half_p = 0.5 * p;
-        for (std::size_t r = 0; r < dim_; ++r) {
-            if ((r & mask) != 0) {
-                continue; // handled together with the partner row
-            }
-            amp* row0 = data_.data() + r * dim_;
-            amp* row1 = data_.data() + (r | mask) * dim_;
-            for (std::size_t c = 0; c < dim_; ++c) {
-                if ((c & mask) != 0) {
-                    continue;
-                }
-                const std::size_t c1 = c | mask;
-                const amp block00 = row0[c];
-                const amp block11 = row1[c1];
-                const amp mixed = half_p * (block00 + block11);
-                row0[c] = keep * block00 + mixed;
-                row1[c1] = keep * block11 + mixed;
-                row0[c1] *= keep;
-                row1[c] *= keep;
-            }
-        }
+        kernels::density_depolarize_1q(data_.data(), num_qubits_, qubits[0],
+                                       p, kernels::active_isa());
         return;
     }
-
-    const density_matrix reduced = partial_trace(qubits);
-    const double mix = p / static_cast<double>(block);
-
-    for (amp& value : data_) {
-        value *= (1.0 - p);
-    }
-    // Add p * (I/2^k on `qubits`) ⊗ Tr_qubits(rho): entries where the
-    // traced-out qubits agree between row and column.
-    const std::vector<std::size_t> offsets = make_offsets(qubits);
-    const std::size_t groups = dim_ >> k;
-    for (std::size_t gr = 0; gr < groups; ++gr) {
-        const std::size_t row_base = expand_index(gr, sorted);
-        for (std::size_t gc = 0; gc < groups; ++gc) {
-            const std::size_t col_base = expand_index(gc, sorted);
-            const amp contribution = mix * reduced.data_[gr * groups + gc];
-            for (std::size_t a = 0; a < block; ++a) {
-                data_[(row_base + offsets[a]) * dim_ +
-                      (col_base + offsets[a])] += contribution;
-            }
-        }
-    }
+    QUORUM_EXPECTS(k < num_qubits_);
+    std::vector<qubit_t> sorted(qubits.begin(), qubits.end());
+    std::sort(sorted.begin(), sorted.end());
+    QUORUM_EXPECTS_MSG(
+        std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end(),
+        "depolarize qubits must be distinct");
+    kernels::density_depolarize_block(data_.data(), num_qubits_, sorted,
+                                      make_offsets(sorted), p,
+                                      kernels::active_isa());
 }
 
 void density_matrix::reset_qubit(qubit_t q) {
     QUORUM_EXPECTS(q < num_qubits_);
-    const std::size_t mask = std::size_t{1} << q;
-    std::vector<amp> next(data_.size());
-    for (std::size_t r = 0; r < dim_; ++r) {
-        for (std::size_t c = 0; c < dim_; ++c) {
-            if (((r & mask) != 0) != (((c & mask)) != 0)) {
-                continue; // coherences between outcomes vanish
-            }
-            next[(r & ~mask) * dim_ + (c & ~mask)] += data_[r * dim_ + c];
-        }
-    }
-    data_ = std::move(next);
+    kernels::density_reset(data_.data(), num_qubits_, q, kernels::active_isa());
 }
 
 double density_matrix::probability_one(qubit_t q) const {

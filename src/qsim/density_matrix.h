@@ -18,6 +18,8 @@
 namespace quorum::qsim {
 
 /// Density operator over `num_qubits` qubits, row-major, little-endian.
+/// Gates and channels run on the kernel layer (qsim/kernels.h), treating
+/// the matrix as the 2n-qubit vector vec(rho).
 class density_matrix {
 public:
     /// |0..0><0..0|.
@@ -57,7 +59,7 @@ public:
     /// Exact thermal-relaxation channel on one qubit in closed form:
     /// amplitude damping (gamma) composed with pure dephasing (lambda).
     /// Equivalent to apply_kraus(noise_model::thermal_kraus(...)) but a
-    /// single O(4^n) pass — this is the noisy runner's hot path.
+    /// single O(4^n) kernel pass — this is the noisy runner's hot path.
     void apply_thermal(qubit_t q, double gamma, double lambda);
 
     /// P[measuring `q` yields 1] (sum of diagonal terms with the bit set).
@@ -83,16 +85,6 @@ public:
     [[nodiscard]] double overlap(const density_matrix& other) const;
 
 private:
-    /// Applies `m` (or its conjugate) to the row or column index axis.
-    void apply_to_axis(const util::cmatrix& m, std::span<const qubit_t> qubits,
-                       bool column_axis);
-
-    /// Fast path: 2x2 matrix conjugation (both axes in tight loops).
-    void apply_1q_fast(const util::cmatrix& m, qubit_t q);
-
-    /// Fast path: CX conjugation as an index permutation.
-    void apply_cx_fast(qubit_t control, qubit_t target);
-
     std::size_t num_qubits_;
     std::size_t dim_;
     std::vector<amp> data_; // row-major dim_ x dim_

@@ -75,6 +75,48 @@ void collapse(amp* data, std::size_t n_qubits, qubit_t q, bool outcome,
 void collapse(amp* data, std::size_t n_qubits, qubit_t q, bool outcome,
               double scale);
 
+// Density-matrix kernels. A density matrix over n qubits is stored
+// row-major, rho(r, c) at r * 2^n + c: the 2n-qubit vector vec(rho) whose
+// bits [0, n) index the column and bits [n, 2n) the row. A gate U on
+// qubits Q therefore conjugates (rho -> U rho U†) as two vector kernels:
+// apply_1q / apply_block with U on bits Q + n (the row pass), then with
+// the elementwise conjugate of U on bits Q (the column pass). The kernels
+// below are the density operations that do not factor that way. Each
+// keeps the per-element operation sequence of the engine's original
+// loops (tests/qsim/density_oracle.h), so both ISAs agree bit for bit.
+
+/// Diagonal 1q gate diag(d0, d1) on qubit q in one elementwise pass:
+/// rho(r, c) *= f[2 * bit_q(r) + bit_q(c)], where f[2a + b] is the
+/// precomputed d_a * conj(d_b).
+void density_diagonal(amp* rho, std::size_t n_qubits, const amp* f,
+                      qubit_t q, isa which);
+
+/// CX conjugation pi rho pi^T as a basis permutation: rows with the
+/// control bit set swap across the target bit, then columns do.
+void density_cx(amp* rho, std::size_t n_qubits, qubit_t control,
+                qubit_t target, isa which);
+
+/// Depolarising channel on one qubit of a register of n_qubits >= 2:
+/// same-bit entries of each 2x2 block mix, opposite-bit ones scale.
+void density_depolarize_1q(amp* rho, std::size_t n_qubits, qubit_t q,
+                           double p, isa which);
+
+/// Depolarising channel on k = sorted.size() qubits, 2 <= k < n_qubits:
+/// rho -> (1-p) rho + p * (I/2^k ⊗ Tr_qubits(rho)). `offsets` is
+/// make_offsets(sorted); the partial trace sums in that order.
+void density_depolarize_block(amp* rho, std::size_t n_qubits,
+                              std::span<const qubit_t> sorted,
+                              std::span<const std::size_t> offsets, double p,
+                              isa which);
+
+/// Thermal relaxation on qubit q: amplitude damping gamma composed with
+/// pure dephasing lambda, one pass over the 2x2 blocks.
+void density_thermal(amp* rho, std::size_t n_qubits, qubit_t q, double gamma,
+                     double lambda, isa which);
+
+/// Exact reset channel on qubit q, in place: rho -> |0><0|_q ⊗ Tr_q(rho).
+void density_reset(amp* rho, std::size_t n_qubits, qubit_t q, isa which);
+
 } // namespace quorum::qsim::kernels
 
 #endif // QUORUM_QSIM_KERNELS_H

@@ -194,6 +194,242 @@ void collapse_avx2(amp* data, std::size_t dim, qubit_t q, bool outcome,
     }
 }
 
+namespace {
+
+/// Two 2x2 blocks on qubit q per iteration, one per 128-bit lane half:
+/// the blocks at columns c0 and the next bit-q-clear column. `f`
+/// receives the (d00, d01, d10, d11) vectors — see for_each_block in
+/// kernels.cpp — and updates them in place. Requires dim >= 4.
+template <typename F>
+void for_each_block_pair(amp* rho, std::size_t dim, qubit_t q, F f) {
+    double* p = reinterpret_cast<double*>(rho);
+    const std::size_t step = std::size_t{1} << q;
+    for (std::size_t rb = 0; rb < dim; rb += 2 * step) {
+        for (std::size_t r = rb; r < rb + step; ++r) {
+            double* row0 = p + 2 * r * dim;
+            double* row1 = row0 + 2 * step * dim;
+            if (q == 0) {
+                // Each [c0, c1] pair is one vector: split two of them
+                // into a c0-vector and a c1-vector, as apply_1q does.
+                for (std::size_t c = 0; c < dim; c += 4) {
+                    double* a = row0 + 2 * c;
+                    double* b = row1 + 2 * c;
+                    const __m256d a0 = _mm256_loadu_pd(a);
+                    const __m256d a1 = _mm256_loadu_pd(a + 4);
+                    const __m256d b0 = _mm256_loadu_pd(b);
+                    const __m256d b1 = _mm256_loadu_pd(b + 4);
+                    __m256d d00 = _mm256_permute2f128_pd(a0, a1, 0x20);
+                    __m256d d01 = _mm256_permute2f128_pd(a0, a1, 0x31);
+                    __m256d d10 = _mm256_permute2f128_pd(b0, b1, 0x20);
+                    __m256d d11 = _mm256_permute2f128_pd(b0, b1, 0x31);
+                    f(d00, d01, d10, d11);
+                    _mm256_storeu_pd(a, _mm256_permute2f128_pd(d00, d01, 0x20));
+                    _mm256_storeu_pd(a + 4,
+                                     _mm256_permute2f128_pd(d00, d01, 0x31));
+                    _mm256_storeu_pd(b, _mm256_permute2f128_pd(d10, d11, 0x20));
+                    _mm256_storeu_pd(b + 4,
+                                     _mm256_permute2f128_pd(d10, d11, 0x31));
+                }
+                continue;
+            }
+            for (std::size_t cb = 0; cb < dim; cb += 2 * step) {
+                for (std::size_t c = cb; c < cb + step; c += 2) {
+                    double* a = row0 + 2 * c;
+                    double* b = row1 + 2 * c;
+                    __m256d d00 = _mm256_loadu_pd(a);
+                    __m256d d01 = _mm256_loadu_pd(a + 2 * step);
+                    __m256d d10 = _mm256_loadu_pd(b);
+                    __m256d d11 = _mm256_loadu_pd(b + 2 * step);
+                    f(d00, d01, d10, d11);
+                    _mm256_storeu_pd(a, d00);
+                    _mm256_storeu_pd(a + 2 * step, d01);
+                    _mm256_storeu_pd(b, d10);
+                    _mm256_storeu_pd(b + 2 * step, d11);
+                }
+            }
+        }
+    }
+}
+
+/// Two complex values `delta` apart as one vector (one load when
+/// adjacent).
+inline __m256d load_pair(const double* lo, std::size_t delta) {
+    if (delta == 1) {
+        return _mm256_loadu_pd(lo);
+    }
+    return _mm256_set_m128d(_mm_loadu_pd(lo + 2 * delta), _mm_loadu_pd(lo));
+}
+
+inline void store_pair(double* lo, std::size_t delta, __m256d v) {
+    if (delta == 1) {
+        _mm256_storeu_pd(lo, v);
+        return;
+    }
+    _mm_storeu_pd(lo, _mm256_castpd256_pd128(v));
+    _mm_storeu_pd(lo + 2 * delta, _mm256_extractf128_pd(v, 1));
+}
+
+inline void swap_vectors(double* a, double* b) {
+    const __m256d va = _mm256_loadu_pd(a);
+    _mm256_storeu_pd(a, _mm256_loadu_pd(b));
+    _mm256_storeu_pd(b, va);
+}
+
+} // namespace
+
+void density_diagonal_avx2(amp* rho, std::size_t dim, const amp* f,
+                           qubit_t q) {
+    if (dim < 4) {
+        density_diagonal_scalar(rho, dim, f, q);
+        return;
+    }
+    const bcast f00 = broadcast(f + 0);
+    const bcast f01 = broadcast(f + 1);
+    const bcast f10 = broadcast(f + 2);
+    const bcast f11 = broadcast(f + 3);
+    for_each_block_pair(rho, dim, q,
+                        [&](__m256d& d00, __m256d& d01, __m256d& d10,
+                            __m256d& d11) {
+                            d00 = cmul(f00.re, f00.im, d00);
+                            d01 = cmul(f01.re, f01.im, d01);
+                            d10 = cmul(f10.re, f10.im, d10);
+                            d11 = cmul(f11.re, f11.im, d11);
+                        });
+}
+
+void density_cx_avx2(amp* rho, std::size_t dim, qubit_t control,
+                     qubit_t target) {
+    if (dim < 4 || control == 0 || target == 0) {
+        // A column pair straddles one 256-bit vector: moves stay scalar.
+        density_cx_scalar(rho, dim, control, target);
+        return;
+    }
+    double* p = reinterpret_cast<double*>(rho);
+    const std::size_t cmask = std::size_t{1} << control;
+    const std::size_t tmask = std::size_t{1} << target;
+    for (std::size_t r = 0; r < dim; ++r) {
+        if ((r & cmask) != 0 && (r & tmask) == 0) {
+            for (std::size_t c = 0; c < dim; c += 2) {
+                swap_vectors(p + 2 * (r * dim + c),
+                             p + 2 * ((r | tmask) * dim + c));
+            }
+        }
+    }
+    for (std::size_t r = 0; r < dim; ++r) {
+        double* row = p + 2 * r * dim;
+        for (std::size_t c = 0; c < dim; c += 2) {
+            if ((c & cmask) != 0 && (c & tmask) == 0) {
+                swap_vectors(row + 2 * c, row + 2 * (c | tmask));
+            }
+        }
+    }
+}
+
+void density_depolarize_1q_avx2(amp* rho, std::size_t dim, qubit_t q,
+                                double p) {
+    if (dim < 4) {
+        density_depolarize_1q_scalar(rho, dim, q, p);
+        return;
+    }
+    const __m256d keep = _mm256_set1_pd(1.0 - p);
+    const __m256d half_p = _mm256_set1_pd(0.5 * p);
+    for_each_block_pair(rho, dim, q,
+                        [&](__m256d& d00, __m256d& d01, __m256d& d10,
+                            __m256d& d11) {
+                            const __m256d mixed =
+                                _mm256_mul_pd(half_p, _mm256_add_pd(d00, d11));
+                            d00 = _mm256_add_pd(_mm256_mul_pd(keep, d00), mixed);
+                            d11 = _mm256_add_pd(_mm256_mul_pd(keep, d11), mixed);
+                            d01 = _mm256_mul_pd(d01, keep);
+                            d10 = _mm256_mul_pd(d10, keep);
+                        });
+}
+
+void density_depolarize_block_avx2(amp* rho, std::size_t dim,
+                                   std::span<const qubit_t> sorted,
+                                   std::span<const std::size_t> offsets,
+                                   double p) {
+    const std::size_t groups = dim >> sorted.size();
+    if (groups < 2) {
+        density_depolarize_block_scalar(rho, dim, sorted, offsets, p);
+        return;
+    }
+    // Two column groups per iteration, `delta` columns apart (the lowest
+    // column bit outside the operands), exactly as in apply_block_avx2.
+    std::size_t lowest_free = 0;
+    for (const qubit_t q : sorted) {
+        if (q != lowest_free) {
+            break;
+        }
+        ++lowest_free;
+    }
+    const std::size_t delta = std::size_t{1} << lowest_free;
+    const std::size_t block = offsets.size();
+    const __m256d keep = _mm256_set1_pd(1.0 - p);
+    const __m256d mix = _mm256_set1_pd(p / static_cast<double>(block));
+    double* base_ptr = reinterpret_cast<double*>(rho);
+    for (std::size_t gr = 0; gr < groups; ++gr) {
+        const std::size_t row_base = expand_index(gr, sorted);
+        for (std::size_t gc = 0; gc < groups; gc += 2) {
+            double* base =
+                base_ptr + 2 * (row_base * dim + expand_index(gc, sorted));
+            __m256d reduced = _mm256_setzero_pd();
+            for (std::size_t a = 0; a < block; ++a) {
+                reduced = _mm256_add_pd(
+                    reduced,
+                    load_pair(base + 2 * (offsets[a] * dim + offsets[a]),
+                              delta));
+            }
+            const __m256d contribution = _mm256_mul_pd(mix, reduced);
+            for (std::size_t a = 0; a < block; ++a) {
+                for (std::size_t b = 0; b < block; ++b) {
+                    double* at = base + 2 * (offsets[a] * dim + offsets[b]);
+                    __m256d value = _mm256_mul_pd(load_pair(at, delta), keep);
+                    if (a == b) {
+                        value = _mm256_add_pd(value, contribution);
+                    }
+                    store_pair(at, delta, value);
+                }
+            }
+        }
+    }
+}
+
+void density_thermal_avx2(amp* rho, std::size_t dim, qubit_t q, double gamma,
+                          double keep) {
+    if (dim < 4) {
+        density_thermal_scalar(rho, dim, q, gamma, keep);
+        return;
+    }
+    const __m256d vkeep = _mm256_set1_pd(keep);
+    const __m256d vgamma = _mm256_set1_pd(gamma);
+    const __m256d vdecay = _mm256_set1_pd(1.0 - gamma);
+    for_each_block_pair(rho, dim, q,
+                        [&](__m256d& d00, __m256d& d01, __m256d& d10,
+                            __m256d& d11) {
+                            d01 = _mm256_mul_pd(d01, vkeep);
+                            d10 = _mm256_mul_pd(d10, vkeep);
+                            d00 = _mm256_add_pd(d00, _mm256_mul_pd(vgamma, d11));
+                            d11 = _mm256_mul_pd(vdecay, d11);
+                        });
+}
+
+void density_reset_avx2(amp* rho, std::size_t dim, qubit_t q) {
+    if (dim < 4) {
+        density_reset_scalar(rho, dim, q);
+        return;
+    }
+    const __m256d zero = _mm256_setzero_pd();
+    for_each_block_pair(rho, dim, q,
+                        [zero](__m256d& d00, __m256d& d01, __m256d& d10,
+                               __m256d& d11) {
+                            d00 = _mm256_add_pd(_mm256_add_pd(zero, d00), d11);
+                            d01 = zero;
+                            d10 = zero;
+                            d11 = zero;
+                        });
+}
+
 } // namespace quorum::qsim::kernels::detail
 
 #endif // __AVX2__ && __FMA__

@@ -1,6 +1,14 @@
 #include <cmath>
 
+#include <bit>
+#include <cstdint>
+#include <functional>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "density_oracle.h"
 
 #include "qsim/density_matrix.h"
 #include "qsim/noise.h"
@@ -11,6 +19,7 @@ namespace {
 using namespace quorum::qsim;
 namespace util = quorum::util;
 using cd = std::complex<double>;
+namespace oracle = quorum::qsim::oracle;
 
 statevector random_state(std::size_t n, quorum::util::rng& gen) {
     statevector state(n);
@@ -264,6 +273,137 @@ TEST(DensityMatrix, CxFastPathMatchesGeneric) {
                                      slow.element(r, col)),
                             0.0, 1e-12);
             }
+        }
+    }
+}
+
+/// A mixed state on n qubits built through the engine itself.
+density_matrix random_mixed_state(std::size_t n, quorum::util::rng& gen) {
+    density_matrix rho = density_matrix::from_statevector(random_state(n, gen));
+    for (std::size_t q = 0; q < n; ++q) {
+        rho.apply_thermal(static_cast<qubit_t>(q), 0.2 * gen.uniform(),
+                          0.2 * gen.uniform());
+    }
+    return rho;
+}
+
+std::vector<cd> elements(const density_matrix& rho) {
+    std::vector<cd> out;
+    for (std::size_t r = 0; r < rho.dim(); ++r) {
+        for (std::size_t c = 0; c < rho.dim(); ++c) {
+            out.push_back(rho.element(r, c));
+        }
+    }
+    return out;
+}
+
+bool bits_equal(const std::vector<cd>& a, const std::vector<cd>& b) {
+    if (a.size() != b.size()) {
+        return false;
+    }
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        if (std::bit_cast<std::uint64_t>(a[i].real()) !=
+                std::bit_cast<std::uint64_t>(b[i].real()) ||
+            std::bit_cast<std::uint64_t>(a[i].imag()) !=
+                std::bit_cast<std::uint64_t>(b[i].imag())) {
+            return false;
+        }
+    }
+    return true;
+}
+
+/// Applies `op` to a random mixed state and `reference` to its elements:
+/// the density engine must reproduce its original loops bit for bit.
+void expect_engine_matches_oracle(
+    std::size_t n, quorum::util::rng& gen,
+    const std::function<void(density_matrix&)>& op,
+    const std::function<void(std::vector<cd>&)>& reference,
+    const std::string& what) {
+    density_matrix rho = random_mixed_state(n, gen);
+    std::vector<cd> expected = elements(rho);
+    op(rho);
+    reference(expected);
+    EXPECT_TRUE(bits_equal(elements(rho), expected)) << what << " n=" << n;
+}
+
+TEST(DensityMatrix, EngineMatchesOriginalLoopsBitForBit) {
+    quorum::util::rng gen(20251009);
+    for (std::size_t n = 1; n <= 7; ++n) {
+        const std::size_t dim = std::size_t{1} << n;
+        for (std::size_t qi = 0; qi < n; ++qi) {
+            const auto q = static_cast<qubit_t>(qi);
+            const qubit_t operand[] = {q};
+            const double theta[] = {gen.angle()};
+            const util::cmatrix rz = gate_matrix(gate_kind::rz, theta);
+            expect_engine_matches_oracle(
+                n, gen,
+                [&](density_matrix& rho) {
+                    rho.apply_gate(gate_kind::rz, operand, theta);
+                },
+                [&](std::vector<cd>& ref) {
+                    oracle::apply_1q(ref, dim, rz.data().data(), q);
+                },
+                "rz q=" + std::to_string(q));
+            const util::cmatrix sx = gate_matrix(gate_kind::sx);
+            expect_engine_matches_oracle(
+                n, gen,
+                [&](density_matrix& rho) {
+                    rho.apply_gate(gate_kind::sx, operand);
+                },
+                [&](std::vector<cd>& ref) {
+                    oracle::apply_1q(ref, dim, sx.data().data(), q);
+                },
+                "sx q=" + std::to_string(q));
+            const double gamma = gen.uniform();
+            const double lambda = gen.uniform();
+            expect_engine_matches_oracle(
+                n, gen,
+                [&](density_matrix& rho) {
+                    rho.apply_thermal(q, gamma, lambda);
+                },
+                [&](std::vector<cd>& ref) {
+                    oracle::thermal(ref, dim, q, gamma, lambda);
+                },
+                "thermal q=" + std::to_string(q));
+            expect_engine_matches_oracle(
+                n, gen, [&](density_matrix& rho) { rho.reset_qubit(q); },
+                [&](std::vector<cd>& ref) { oracle::reset(ref, dim, q); },
+                "reset q=" + std::to_string(q));
+            if (n < 2) {
+                continue;
+            }
+            const double p = gen.uniform();
+            expect_engine_matches_oracle(
+                n, gen,
+                [&](density_matrix& rho) { rho.depolarize(operand, p); },
+                [&](std::vector<cd>& ref) {
+                    oracle::depolarize_1q(ref, dim, q, p);
+                },
+                "depolarize_1q q=" + std::to_string(q));
+            const auto partner = static_cast<qubit_t>((qi + 1) % n);
+            const qubit_t pair[] = {q, partner};
+            expect_engine_matches_oracle(
+                n, gen,
+                [&](density_matrix& rho) { rho.apply_gate(gate_kind::cx, pair); },
+                [&](std::vector<cd>& ref) { oracle::cx(ref, dim, q, partner); },
+                "cx q=" + std::to_string(q));
+            const util::cmatrix cz = gate_matrix(gate_kind::cz);
+            expect_engine_matches_oracle(
+                n, gen,
+                [&](density_matrix& rho) { rho.apply_matrix(cz, pair); },
+                [&](std::vector<cd>& ref) {
+                    oracle::apply_matrix(ref, dim, cz.data(), {q, partner});
+                },
+                "cz q=" + std::to_string(q));
+            if (n < 3) {
+                continue;
+            }
+            expect_engine_matches_oracle(
+                n, gen, [&](density_matrix& rho) { rho.depolarize(pair, p); },
+                [&](std::vector<cd>& ref) {
+                    oracle::depolarize_block(ref, dim, {q, partner}, p);
+                },
+                "depolarize_2q q=" + std::to_string(q));
         }
     }
 }

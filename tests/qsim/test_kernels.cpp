@@ -7,10 +7,12 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "density_oracle.h"
 #include "qsim/bit_ops.h"
 #include "qsim/kernels.h"
 #include "qsim/statevector.h"
@@ -252,6 +254,266 @@ TEST(kernels, statevector_and_kernel_apply_agree) {
     EXPECT_TRUE(bits_equal(
         raw, std::vector<amp>(state.amplitudes().begin(),
                               state.amplitudes().end())));
+}
+
+// ---- Density kernels vs the original density-matrix loops -------------
+
+namespace oracle = quorum::qsim::oracle;
+
+std::vector<kernels::isa> available_isas() {
+    std::vector<kernels::isa> isas{kernels::isa::scalar};
+    if (both_isas_available()) {
+        isas.push_back(kernels::isa::avx2);
+    }
+    return isas;
+}
+
+/// A random valid density matrix: a mixture of three random pure states.
+/// The diagonal's imaginary parts are set to -0.0, so kernels that must
+/// add to +0.0 (reset) or keep the sign (scaling) are told apart.
+std::vector<amp> random_density(std::size_t n, quorum::util::rng& gen) {
+    const std::size_t dim = std::size_t{1} << n;
+    std::vector<amp> rho(dim * dim);
+    double weight_left = 1.0;
+    for (int component = 0; component < 3; ++component) {
+        std::vector<amp> psi = random_state(dim, gen);
+        double norm = 0.0;
+        for (const amp& a : psi) {
+            norm += std::norm(a);
+        }
+        const double w = component == 2 ? weight_left
+                                         : weight_left * gen.uniform();
+        weight_left -= w;
+        for (std::size_t r = 0; r < dim; ++r) {
+            for (std::size_t c = 0; c < dim; ++c) {
+                rho[r * dim + c] += (w / norm) * psi[r] * std::conj(psi[c]);
+            }
+        }
+    }
+    for (std::size_t i = 0; i < dim; ++i) {
+        rho[i * dim + i].imag(-0.0);
+    }
+    return rho;
+}
+
+/// Applies `kernel(data, isa)` to copies of rho on every available ISA
+/// and `reference(rho)` to another; all results must match bit for bit.
+template <typename Kernel, typename Reference>
+void expect_matches_oracle(const std::vector<amp>& rho, Kernel kernel,
+                           Reference reference, const std::string& what) {
+    std::vector<amp> expected = rho;
+    reference(expected);
+    for (const kernels::isa which : available_isas()) {
+        std::vector<amp> got = rho;
+        kernel(got.data(), which);
+        EXPECT_TRUE(bits_equal(got, expected))
+            << what << (which == kernels::isa::avx2 ? " avx2" : " scalar");
+    }
+}
+
+std::string label(std::size_t n, qubit_t q) {
+    return "n=" + std::to_string(n) + " q=" + std::to_string(q);
+}
+
+TEST(density_kernels, diagonal_pass_matches_oracle) {
+    quorum::util::rng gen(20251001);
+    for (std::size_t n = 1; n <= 7; ++n) {
+        const std::size_t dim = std::size_t{1} << n;
+        for (qubit_t q = 0; q < n; ++q) {
+            const std::vector<amp> rho = random_density(n, gen);
+            const amp d0 = std::polar(1.0, gen.angle());
+            const amp d1 = std::polar(1.0, gen.angle());
+            const amp u[4] = {d0, amp{}, amp{}, d1};
+            const amp f[4] = {d0 * std::conj(d0), d0 * std::conj(d1),
+                              d1 * std::conj(d0), d1 * std::conj(d1)};
+            expect_matches_oracle(
+                rho,
+                [&](amp* data, kernels::isa which) {
+                    kernels::density_diagonal(data, n, f, q, which);
+                },
+                [&](std::vector<amp>& ref) { oracle::apply_1q(ref, dim, u, q); },
+                "diagonal " + label(n, q));
+        }
+    }
+}
+
+TEST(density_kernels, general_1q_is_a_row_then_column_pass) {
+    quorum::util::rng gen(20251002);
+    for (std::size_t n = 1; n <= 7; ++n) {
+        const std::size_t dim = std::size_t{1} << n;
+        for (qubit_t q = 0; q < n; ++q) {
+            const std::vector<amp> rho = random_density(n, gen);
+            const std::vector<amp> u = random_matrix(2, gen);
+            std::vector<amp> conj_u(4);
+            for (std::size_t i = 0; i < 4; ++i) {
+                conj_u[i] = std::conj(u[i]);
+            }
+            expect_matches_oracle(
+                rho,
+                [&](amp* data, kernels::isa which) {
+                    kernels::apply_1q(data, 2 * n, u.data(),
+                                      static_cast<qubit_t>(q + n), which);
+                    kernels::apply_1q(data, 2 * n, conj_u.data(), q, which);
+                },
+                [&](std::vector<amp>& ref) {
+                    oracle::apply_1q(ref, dim, u.data(), q);
+                },
+                "1q " + label(n, q));
+        }
+    }
+}
+
+TEST(density_kernels, block_gate_is_a_row_then_column_pass) {
+    quorum::util::rng gen(20251003);
+    for (std::size_t n = 2; n <= 6; ++n) {
+        const std::size_t dim = std::size_t{1} << n;
+        for (std::size_t k = 2; k <= 3; ++k) {
+            for (const std::vector<qubit_t>& qubits : operand_sets(n, k)) {
+                const std::size_t block = std::size_t{1} << k;
+                const std::vector<amp> rho = random_density(n, gen);
+                const std::vector<amp> u = random_matrix(block, gen);
+                std::vector<amp> conj_u(u.size());
+                for (std::size_t i = 0; i < u.size(); ++i) {
+                    conj_u[i] = std::conj(u[i]);
+                }
+                std::vector<qubit_t> rows = qubits;
+                for (qubit_t& q : rows) {
+                    q = static_cast<qubit_t>(q + n);
+                }
+                std::vector<qubit_t> sorted_rows = rows;
+                std::sort(sorted_rows.begin(), sorted_rows.end());
+                std::vector<qubit_t> sorted_cols = qubits;
+                std::sort(sorted_cols.begin(), sorted_cols.end());
+                std::vector<amp> scratch(block);
+                expect_matches_oracle(
+                    rho,
+                    [&](amp* data, kernels::isa which) {
+                        kernels::apply_block(data, 2 * n, u.data(),
+                                             sorted_rows, make_offsets(rows),
+                                             scratch.data(), which);
+                        kernels::apply_block(data, 2 * n, conj_u.data(),
+                                             sorted_cols,
+                                             make_offsets(qubits),
+                                             scratch.data(), which);
+                    },
+                    [&](std::vector<amp>& ref) {
+                        oracle::apply_matrix(ref, dim, u, qubits);
+                    },
+                    "block " + label(n, qubits[0]) + " k=" +
+                        std::to_string(k));
+            }
+        }
+    }
+}
+
+TEST(density_kernels, cx_matches_oracle) {
+    quorum::util::rng gen(20251004);
+    for (std::size_t n = 2; n <= 7; ++n) {
+        const std::size_t dim = std::size_t{1} << n;
+        for (qubit_t c = 0; c < n; ++c) {
+            for (qubit_t t = 0; t < n; ++t) {
+                if (c == t) {
+                    continue;
+                }
+                const std::vector<amp> rho = random_density(n, gen);
+                expect_matches_oracle(
+                    rho,
+                    [&](amp* data, kernels::isa which) {
+                        kernels::density_cx(data, n, c, t, which);
+                    },
+                    [&](std::vector<amp>& ref) { oracle::cx(ref, dim, c, t); },
+                    "cx " + label(n, c) + " t=" + std::to_string(t));
+            }
+        }
+    }
+}
+
+TEST(density_kernels, depolarize_1q_matches_oracle) {
+    quorum::util::rng gen(20251005);
+    for (std::size_t n = 2; n <= 7; ++n) {
+        const std::size_t dim = std::size_t{1} << n;
+        for (qubit_t q = 0; q < n; ++q) {
+            const std::vector<amp> rho = random_density(n, gen);
+            const double p = gen.uniform();
+            expect_matches_oracle(
+                rho,
+                [&](amp* data, kernels::isa which) {
+                    kernels::density_depolarize_1q(data, n, q, p, which);
+                },
+                [&](std::vector<amp>& ref) {
+                    oracle::depolarize_1q(ref, dim, q, p);
+                },
+                "depolarize_1q " + label(n, q));
+        }
+    }
+}
+
+TEST(density_kernels, depolarize_2q_matches_oracle) {
+    quorum::util::rng gen(20251006);
+    for (std::size_t n = 3; n <= 7; ++n) {
+        const std::size_t dim = std::size_t{1} << n;
+        for (qubit_t a = 0; a < n; ++a) {
+            for (qubit_t b = 0; b < n; ++b) {
+                if (a == b) {
+                    continue;
+                }
+                const std::vector<qubit_t> qubits{a, b};
+                std::vector<qubit_t> sorted = qubits;
+                std::sort(sorted.begin(), sorted.end());
+                const std::vector<amp> rho = random_density(n, gen);
+                const double p = gen.uniform();
+                expect_matches_oracle(
+                    rho,
+                    [&](amp* data, kernels::isa which) {
+                        kernels::density_depolarize_block(
+                            data, n, sorted, make_offsets(sorted), p, which);
+                    },
+                    [&](std::vector<amp>& ref) {
+                        oracle::depolarize_block(ref, dim, qubits, p);
+                    },
+                    "depolarize_2q " + label(n, a) + " b=" +
+                        std::to_string(b));
+            }
+        }
+    }
+}
+
+TEST(density_kernels, thermal_matches_oracle) {
+    quorum::util::rng gen(20251007);
+    for (std::size_t n = 1; n <= 7; ++n) {
+        const std::size_t dim = std::size_t{1} << n;
+        for (qubit_t q = 0; q < n; ++q) {
+            const std::vector<amp> rho = random_density(n, gen);
+            const double gamma = q % 3 == 1 ? 0.0 : gen.uniform();
+            const double lambda = q % 3 == 2 ? 0.0 : gen.uniform();
+            expect_matches_oracle(
+                rho,
+                [&](amp* data, kernels::isa which) {
+                    kernels::density_thermal(data, n, q, gamma, lambda, which);
+                },
+                [&](std::vector<amp>& ref) {
+                    oracle::thermal(ref, dim, q, gamma, lambda);
+                },
+                "thermal " + label(n, q));
+        }
+    }
+}
+
+TEST(density_kernels, reset_matches_oracle) {
+    quorum::util::rng gen(20251008);
+    for (std::size_t n = 1; n <= 7; ++n) {
+        const std::size_t dim = std::size_t{1} << n;
+        for (qubit_t q = 0; q < n; ++q) {
+            const std::vector<amp> rho = random_density(n, gen);
+            expect_matches_oracle(
+                rho,
+                [&](amp* data, kernels::isa which) {
+                    kernels::density_reset(data, n, q, which);
+                },
+                [&](std::vector<amp>& ref) { oracle::reset(ref, dim, q); },
+                "reset " + label(n, q));
+        }
+    }
 }
 
 } // namespace
