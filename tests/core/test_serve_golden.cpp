@@ -155,6 +155,18 @@ public:
 
     [[nodiscard]] const util::endpoint& where() const { return endpoint_; }
 
+    /// True when the daemon exits on its own within `timeout_ms`.
+    bool exits_within(int timeout_ms) {
+        for (int waited = 0; waited < timeout_ms; waited += 20) {
+            if (::waitpid(pid_, nullptr, WNOHANG) == pid_) {
+                pid_ = -1;
+                return true;
+            }
+            ::usleep(20000);
+        }
+        return false;
+    }
+
 private:
     pid_t pid_ = -1;
     util::endpoint endpoint_;
@@ -505,6 +517,38 @@ TEST(ServeProtocol, MalformedRequestsGetStructuredErrorReplies) {
     for (std::size_t i = 0; i < served.size(); ++i) {
         EXPECT_EQ(served[i], reference[i]) << i;
     }
+}
+
+TEST(ServeProtocol, MaxRequestsCountsOnlyScoredRequests) {
+    // --max-requests N means N scored requests: an ERR reply first must
+    // not use up the budget, so all N good requests are answered before
+    // the daemon exits on its own.
+    core::quorum_config config = flagship_config(core::exec_mode::exact, 2);
+    std::vector<std::string> args = serve_args(config, 1);
+    args.insert(args.end(), {"--max-requests", "2"});
+    serve_daemon daemon(args);
+    {
+        const util::unique_fd fd = util::connect_tcp(daemon.where(), 5000);
+        const std::string bad = "HELLO\n";
+        util::send_all(fd.get(), bad.data(), bad.size(), 5000,
+                       daemon.where().str());
+        util::line_reader reader(fd.get(), 30000, daemon.where().str());
+        std::string line;
+        ASSERT_TRUE(reader.read_line(line));
+        EXPECT_EQ(line.rfind("QSRV1 ERR ", 0), 0u) << line;
+    }
+    const data::dataset d = flagship_dataset(6);
+    const std::vector<double> reference = plain_scores(config, d);
+    exec::serve_client client(daemon.where());
+    for (int request = 0; request < 2; ++request) {
+        const std::vector<double> served = client.score(rows_of(d));
+        ASSERT_EQ(served.size(), reference.size()) << "request " << request;
+        for (std::size_t i = 0; i < served.size(); ++i) {
+            EXPECT_EQ(served[i], reference[i]) << i;
+        }
+    }
+    EXPECT_TRUE(daemon.exits_within(10000))
+        << "daemon did not exit after its request budget";
 }
 
 } // namespace

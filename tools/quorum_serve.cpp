@@ -279,10 +279,10 @@ void handle_client(util::unique_fd fd, serve_state& state) {
             }
             util::send_all(fd.get(), reply.data(), reply.size(), 120000,
                            peer);
-            state.served.fetch_add(1);
             if (fatal) {
                 return; // cannot resync a byte stream after a bad request
             }
+            state.served.fetch_add(1); // --max-requests counts OK replies
             if (state.max_requests != 0 &&
                 state.served.load() >= state.max_requests) {
                 return;
