@@ -541,11 +541,11 @@ private:
 /// Applies fused unitaries from `pos` up to the next reset/measure (or
 /// the end of the suffix) and returns that op's index.
 std::size_t run_to_collapse(statevector& state,
-                            const std::vector<fused_op>& fused,
-                            std::size_t pos, std::span<amp> scratch) {
-    for (; pos < fused.size() && fused[pos].op == fused_op::kind::unitary;
-         ++pos) {
+                            const std::vector<fused_op>& fused, std::size_t pos,
+                            std::span<amp> scratch) {
+    while (pos < fused.size() && fused[pos].op == fused_op::kind::unitary) {
         apply_fused_unitary(state, fused[pos], scratch);
+        ++pos;
     }
     return pos;
 }
@@ -553,7 +553,7 @@ std::size_t run_to_collapse(statevector& state,
 /// The state change a shot's reset/measure makes once its outcome is
 /// drawn (measure_collapse minus the draw), tracking the target cbit.
 void apply_outcome(statevector& state, const fused_op& op, bool outcome,
-                   int target_cbit, bool& target_bit) {
+                   std::size_t target_cbit, bool& target_bit) {
     const qubit_t q = op.qubits[0];
     state.collapse(q, outcome);
     if (op.op == fused_op::kind::reset) {
@@ -561,7 +561,7 @@ void apply_outcome(statevector& state, const fused_op& op, bool outcome,
             const qubit_t operand[] = {q};
             state.apply_gate(gate_kind::x, operand);
         }
-    } else if (op.cbit == target_cbit) {
+    } else if (static_cast<std::size_t>(op.cbit) == target_cbit) {
         target_bit = outcome;
     }
 }
@@ -617,9 +617,9 @@ void run_per_shot(std::size_t shots, const program& prog,
     }
     replay_buffers buffers;
     buffers.scratch.resize(max_block);
-    const int target_cbit = prog.readout.cbit;
-    QUORUM_EXPECTS_MSG(static_cast<std::size_t>(target_cbit) <
-                           prog.circuit.num_clbits(),
+    const std::span<amp> scratch(buffers.scratch);
+    const auto target = static_cast<std::size_t>(prog.readout.cbit);
+    QUORUM_EXPECTS_MSG(target < prog.circuit.num_clbits(),
                        "per-shot readout cbit out of range");
 
     statevector work;
@@ -628,8 +628,7 @@ void run_per_shot(std::size_t shots, const program& prog,
     std::vector<bool> path; // outcomes the current shot has drawn
     for (std::size_t i = 0; i < samples.size(); ++i) {
         prepare_state_into(prog.circuit, samples[i], buffers, base);
-        const std::size_t head_end =
-            run_to_collapse(base, fused, 0, buffers.scratch);
+        const std::size_t head_end = run_to_collapse(base, fused, 0, scratch);
         util::rng& gen = *samples[i].gen;
         tree.clear();
         tree.push_back(node_at(base, fused, head_end, false));
@@ -649,17 +648,16 @@ void run_per_shot(std::size_t shots, const program& prog,
                         pos = head_end;
                         target_bit = false;
                         for (const bool drawn : path) {
-                            apply_outcome(work, fused[pos], drawn,
-                                          target_cbit, target_bit);
+                            apply_outcome(work, fused[pos], drawn, target,
+                                          target_bit);
                             pos = run_to_collapse(work, fused, pos + 1,
-                                                  buffers.scratch);
+                                                  scratch);
                         }
                         live = true;
                     }
-                    apply_outcome(work, fused[pos], outcome, target_cbit,
+                    apply_outcome(work, fused[pos], outcome, target,
                                   target_bit);
-                    pos = run_to_collapse(work, fused, pos + 1,
-                                          buffers.scratch);
+                    pos = run_to_collapse(work, fused, pos + 1, scratch);
                     next = static_cast<std::uint32_t>(tree.size());
                     tree.push_back(node_at(work, fused, pos, target_bit));
                     tree[node].child[outcome] = next;

@@ -47,8 +47,9 @@ void density_matrix::apply_matrix(const util::cmatrix& m,
     const std::size_t vec_qubits = 2 * num_qubits_;
     const std::vector<amp>& u = m.data();
     std::vector<amp> conj_u(u.size());
-    std::transform(u.begin(), u.end(), conj_u.begin(),
-                   [](const amp& value) { return std::conj(value); });
+    for (std::size_t i = 0; i < u.size(); ++i) {
+        conj_u[i] = std::conj(u[i]);
+    }
     if (k == 1) {
         const qubit_t q = qubits[0];
         if (u[1] == amp{} && u[2] == amp{}) {
@@ -63,20 +64,19 @@ void density_matrix::apply_matrix(const util::cmatrix& m,
         kernels::apply_1q(data_.data(), vec_qubits, conj_u.data(), q, which);
         return;
     }
-    std::vector<qubit_t> row_qubits(qubits.begin(), qubits.end());
-    for (qubit_t& q : row_qubits) {
+    std::vector<qubit_t> rows(qubits.begin(), qubits.end());
+    for (qubit_t& q : rows) {
         q += static_cast<qubit_t>(num_qubits_);
     }
+    std::vector<qubit_t> sorted_rows = rows;
+    std::sort(sorted_rows.begin(), sorted_rows.end());
+    std::vector<qubit_t> sorted_cols(qubits.begin(), qubits.end());
+    std::sort(sorted_cols.begin(), sorted_cols.end());
     std::vector<amp> scratch(block);
-    for (const bool rows : {true, false}) {
-        const std::span<const qubit_t> axis =
-            rows ? std::span<const qubit_t>(row_qubits) : qubits;
-        std::vector<qubit_t> sorted(axis.begin(), axis.end());
-        std::sort(sorted.begin(), sorted.end());
-        kernels::apply_block(data_.data(), vec_qubits,
-                             rows ? u.data() : conj_u.data(), sorted,
-                             make_offsets(axis), scratch.data(), which);
-    }
+    kernels::apply_block(data_.data(), vec_qubits, u.data(), sorted_rows,
+                         make_offsets(rows), scratch.data(), which);
+    kernels::apply_block(data_.data(), vec_qubits, conj_u.data(), sorted_cols,
+                         make_offsets(qubits), scratch.data(), which);
 }
 
 void density_matrix::apply_gate(gate_kind kind, std::span<const qubit_t> qubits,
@@ -139,8 +139,8 @@ void density_matrix::depolarize(std::span<const qubit_t> qubits, double p) {
         QUORUM_EXPECTS(q < num_qubits_);
     }
     if (k == 1) {
-        kernels::density_depolarize_1q(data_.data(), num_qubits_, qubits[0],
-                                       p, kernels::active_isa());
+        kernels::density_depolarize_1q(data_.data(), num_qubits_, qubits[0], p,
+                                       kernels::active_isa());
         return;
     }
     QUORUM_EXPECTS(k < num_qubits_);

@@ -78,8 +78,8 @@ void collapse_scalar(amp* data, std::size_t dim, qubit_t q, bool outcome,
 namespace {
 
 /// Visits every 2x2 sub-block of rho on qubit q: (d00, d01, d10, d11) are
-/// rho(r0, c0), rho(r0, c1), rho(r1, c0), rho(r1, c1) with r1 = r0 | 2^q,
-/// c1 = c0 | 2^q. Single-qubit channels act on these blocks independently.
+/// rho(r0, c0), rho(r0, c1), rho(r1, c0), rho(r1, c1) with r1 = r0 | 2^q
+/// and c1 = c0 | 2^q. Single-qubit channels act on each block alone.
 template <typename F>
 void for_each_block(amp* rho, std::size_t dim, qubit_t q, F f) {
     const std::size_t step = std::size_t{1} << q;
@@ -100,7 +100,7 @@ void for_each_block(amp* rho, std::size_t dim, qubit_t q, F f) {
 
 void density_diagonal_scalar(amp* rho, std::size_t dim, const amp* f,
                              qubit_t q) {
-    for_each_block(rho, dim, q, [f](amp& d00, amp& d01, amp& d10, amp& d11) {
+    for_each_block(rho, dim, q, [&](amp& d00, amp& d01, amp& d10, amp& d11) {
         d00 *= f[0];
         d01 *= f[1];
         d10 *= f[2];
@@ -132,14 +132,13 @@ void density_depolarize_1q_scalar(amp* rho, std::size_t dim, qubit_t q,
                                   double p) {
     const double keep = 1.0 - p;
     const double half_p = 0.5 * p;
-    for_each_block(rho, dim, q,
-                   [keep, half_p](amp& d00, amp& d01, amp& d10, amp& d11) {
-                       const amp mixed = half_p * (d00 + d11);
-                       d00 = keep * d00 + mixed;
-                       d11 = keep * d11 + mixed;
-                       d01 *= keep;
-                       d10 *= keep;
-                   });
+    for_each_block(rho, dim, q, [&](amp& d00, amp& d01, amp& d10, amp& d11) {
+        const amp mixed = half_p * (d00 + d11);
+        d00 = keep * d00 + mixed;
+        d11 = keep * d11 + mixed;
+        d01 *= keep;
+        d10 *= keep;
+    });
 }
 
 void density_depolarize_block_scalar(amp* rho, std::size_t dim,
@@ -171,16 +170,15 @@ void density_depolarize_block_scalar(amp* rho, std::size_t dim,
     }
 }
 
-void density_thermal_scalar(amp* rho, std::size_t dim, qubit_t q,
-                            double gamma, double keep) {
-    for_each_block(rho, dim, q,
-                   [gamma, keep](amp& d00, amp& d01, amp& d10, amp& d11) {
-                       d01 *= keep;
-                       d10 *= keep;
-                       const amp one_one = d11;
-                       d00 += gamma * one_one;
-                       d11 = (1.0 - gamma) * one_one;
-                   });
+void density_thermal_scalar(amp* rho, std::size_t dim, qubit_t q, double gamma,
+                            double keep) {
+    for_each_block(rho, dim, q, [&](amp& d00, amp& d01, amp& d10, amp& d11) {
+        d01 *= keep;
+        d10 *= keep;
+        const amp one_one = d11;
+        d00 += gamma * one_one;
+        d11 = (1.0 - gamma) * one_one;
+    });
 }
 
 void density_reset_scalar(amp* rho, std::size_t dim, qubit_t q) {
@@ -227,14 +225,16 @@ isa active_isa() noexcept {
 
 // Runs detail::NAME_avx2 when `which` selects AVX2 and the AVX2 TU is
 // linked in, else the scalar reference detail::NAME_scalar.
+// clang-format off
 #ifdef QUORUM_HAVE_AVX2_KERNELS
-#define QUORUM_KERNEL_DISPATCH(which, name, ...)                            \
-    ((which) == isa::avx2 ? detail::name##_avx2(__VA_ARGS__)                \
+#define QUORUM_KERNEL_DISPATCH(which, name, ...)                               \
+    ((which) == isa::avx2 ? detail::name##_avx2(__VA_ARGS__)                   \
                           : detail::name##_scalar(__VA_ARGS__))
 #else
-#define QUORUM_KERNEL_DISPATCH(which, name, ...)                            \
+#define QUORUM_KERNEL_DISPATCH(which, name, ...)                               \
     ((void)(which), detail::name##_scalar(__VA_ARGS__))
 #endif
+// clang-format on
 
 void apply_1q(amp* data, std::size_t n_qubits, const amp* u, qubit_t q,
               isa which) {
@@ -261,8 +261,8 @@ void apply_block(amp* data, std::size_t n_qubits, const amp* u,
 
 void collapse(amp* data, std::size_t n_qubits, qubit_t q, bool outcome,
               double scale, isa which) {
-    QUORUM_KERNEL_DISPATCH(which, collapse, data, dim_of(n_qubits), q,
-                           outcome, scale);
+    QUORUM_KERNEL_DISPATCH(which, collapse, data, dim_of(n_qubits), q, outcome,
+                           scale);
 }
 
 void collapse(amp* data, std::size_t n_qubits, qubit_t q, bool outcome,
@@ -270,22 +270,22 @@ void collapse(amp* data, std::size_t n_qubits, qubit_t q, bool outcome,
     collapse(data, n_qubits, q, outcome, scale, active_isa());
 }
 
-void density_diagonal(amp* rho, std::size_t n_qubits, const amp* f,
-                      qubit_t q, isa which) {
+void density_diagonal(amp* rho, std::size_t n_qubits, const amp* f, qubit_t q,
+                      isa which) {
     QUORUM_KERNEL_DISPATCH(which, density_diagonal, rho, dim_of(n_qubits), f,
                            q);
 }
 
-void density_cx(amp* rho, std::size_t n_qubits, qubit_t control,
-                qubit_t target, isa which) {
-    QUORUM_KERNEL_DISPATCH(which, density_cx, rho, dim_of(n_qubits),
-                           control, target);
+void density_cx(amp* rho, std::size_t n_qubits, qubit_t control, qubit_t target,
+                isa which) {
+    QUORUM_KERNEL_DISPATCH(which, density_cx, rho, dim_of(n_qubits), control,
+                           target);
 }
 
-void density_depolarize_1q(amp* rho, std::size_t n_qubits, qubit_t q,
-                           double p, isa which) {
-    QUORUM_KERNEL_DISPATCH(which, density_depolarize_1q, rho,
-                           dim_of(n_qubits), q, p);
+void density_depolarize_1q(amp* rho, std::size_t n_qubits, qubit_t q, double p,
+                           isa which) {
+    QUORUM_KERNEL_DISPATCH(which, density_depolarize_1q, rho, dim_of(n_qubits),
+                           q, p);
 }
 
 void density_depolarize_block(amp* rho, std::size_t n_qubits,

@@ -88,18 +88,18 @@ void collapse(amp* data, std::size_t n_qubits, qubit_t q, bool outcome,
 /// Diagonal 1q gate diag(d0, d1) on qubit q in one elementwise pass:
 /// rho(r, c) *= f[2 * bit_q(r) + bit_q(c)], where f[2a + b] is the
 /// precomputed d_a * conj(d_b).
-void density_diagonal(amp* rho, std::size_t n_qubits, const amp* f,
-                      qubit_t q, isa which);
+void density_diagonal(amp* rho, std::size_t n_qubits, const amp* f, qubit_t q,
+                      isa which);
 
 /// CX conjugation pi rho pi^T as a basis permutation: rows with the
 /// control bit set swap across the target bit, then columns do.
-void density_cx(amp* rho, std::size_t n_qubits, qubit_t control,
-                qubit_t target, isa which);
+void density_cx(amp* rho, std::size_t n_qubits, qubit_t control, qubit_t target,
+                isa which);
 
 /// Depolarising channel on one qubit of a register of n_qubits >= 2:
 /// same-bit entries of each 2x2 block mix, opposite-bit ones scale.
-void density_depolarize_1q(amp* rho, std::size_t n_qubits, qubit_t q,
-                           double p, isa which);
+void density_depolarize_1q(amp* rho, std::size_t n_qubits, qubit_t q, double p,
+                           isa which);
 
 /// Depolarising channel on k = sorted.size() qubits, 2 <= k < n_qubits:
 /// rho -> (1-p) rho + p * (I/2^k ⊗ Tr_qubits(rho)). `offsets` is

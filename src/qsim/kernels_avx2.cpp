@@ -196,21 +196,39 @@ void collapse_avx2(amp* data, std::size_t dim, qubit_t q, bool outcome,
 
 namespace {
 
-/// Two 2x2 blocks on qubit q per iteration, one per 128-bit lane half:
-/// the blocks at columns c0 and the next bit-q-clear column. `f`
-/// receives the (d00, d01, d10, d11) vectors — see for_each_block in
-/// kernels.cpp — and updates them in place. Requires dim >= 4.
+/// The entries (d00, d01, d10, d11) of two 2x2 blocks on one qubit (see
+/// for_each_block in kernels.cpp), one block per 128-bit lane half.
+struct block_pair {
+    __m256d d00;
+    __m256d d01;
+    __m256d d10;
+    __m256d d11;
+};
+
+/// [x.lo, y.lo] and [x.hi, y.hi]: one complex value per 128-bit half.
+inline __m256d low_halves(__m256d x, __m256d y) {
+    return _mm256_permute2f128_pd(x, y, 0x20);
+}
+
+inline __m256d high_halves(__m256d x, __m256d y) {
+    return _mm256_permute2f128_pd(x, y, 0x31);
+}
+
+/// Visits the 2x2 blocks of rho on qubit q two at a time: the blocks at
+/// column c0 and at the next column with bit q clear. `f` updates the
+/// pair in place. Requires dim >= 4.
 template <typename F>
 void for_each_block_pair(amp* rho, std::size_t dim, qubit_t q, F f) {
     double* p = reinterpret_cast<double*>(rho);
     const std::size_t step = std::size_t{1} << q;
+    block_pair v;
     for (std::size_t rb = 0; rb < dim; rb += 2 * step) {
         for (std::size_t r = rb; r < rb + step; ++r) {
             double* row0 = p + 2 * r * dim;
             double* row1 = row0 + 2 * step * dim;
             if (q == 0) {
-                // Each [c0, c1] pair is one vector: split two of them
-                // into a c0-vector and a c1-vector, as apply_1q does.
+                // Each [c0, c1] pair is one vector: split two of them into
+                // a c0-vector and a c1-vector, as apply_1q_avx2 does.
                 for (std::size_t c = 0; c < dim; c += 4) {
                     double* a = row0 + 2 * c;
                     double* b = row1 + 2 * c;
@@ -218,17 +236,15 @@ void for_each_block_pair(amp* rho, std::size_t dim, qubit_t q, F f) {
                     const __m256d a1 = _mm256_loadu_pd(a + 4);
                     const __m256d b0 = _mm256_loadu_pd(b);
                     const __m256d b1 = _mm256_loadu_pd(b + 4);
-                    __m256d d00 = _mm256_permute2f128_pd(a0, a1, 0x20);
-                    __m256d d01 = _mm256_permute2f128_pd(a0, a1, 0x31);
-                    __m256d d10 = _mm256_permute2f128_pd(b0, b1, 0x20);
-                    __m256d d11 = _mm256_permute2f128_pd(b0, b1, 0x31);
-                    f(d00, d01, d10, d11);
-                    _mm256_storeu_pd(a, _mm256_permute2f128_pd(d00, d01, 0x20));
-                    _mm256_storeu_pd(a + 4,
-                                     _mm256_permute2f128_pd(d00, d01, 0x31));
-                    _mm256_storeu_pd(b, _mm256_permute2f128_pd(d10, d11, 0x20));
-                    _mm256_storeu_pd(b + 4,
-                                     _mm256_permute2f128_pd(d10, d11, 0x31));
+                    v.d00 = low_halves(a0, a1);
+                    v.d01 = high_halves(a0, a1);
+                    v.d10 = low_halves(b0, b1);
+                    v.d11 = high_halves(b0, b1);
+                    f(v);
+                    _mm256_storeu_pd(a, low_halves(v.d00, v.d01));
+                    _mm256_storeu_pd(a + 4, high_halves(v.d00, v.d01));
+                    _mm256_storeu_pd(b, low_halves(v.d10, v.d11));
+                    _mm256_storeu_pd(b + 4, high_halves(v.d10, v.d11));
                 }
                 continue;
             }
@@ -236,15 +252,15 @@ void for_each_block_pair(amp* rho, std::size_t dim, qubit_t q, F f) {
                 for (std::size_t c = cb; c < cb + step; c += 2) {
                     double* a = row0 + 2 * c;
                     double* b = row1 + 2 * c;
-                    __m256d d00 = _mm256_loadu_pd(a);
-                    __m256d d01 = _mm256_loadu_pd(a + 2 * step);
-                    __m256d d10 = _mm256_loadu_pd(b);
-                    __m256d d11 = _mm256_loadu_pd(b + 2 * step);
-                    f(d00, d01, d10, d11);
-                    _mm256_storeu_pd(a, d00);
-                    _mm256_storeu_pd(a + 2 * step, d01);
-                    _mm256_storeu_pd(b, d10);
-                    _mm256_storeu_pd(b + 2 * step, d11);
+                    v.d00 = _mm256_loadu_pd(a);
+                    v.d01 = _mm256_loadu_pd(a + 2 * step);
+                    v.d10 = _mm256_loadu_pd(b);
+                    v.d11 = _mm256_loadu_pd(b + 2 * step);
+                    f(v);
+                    _mm256_storeu_pd(a, v.d00);
+                    _mm256_storeu_pd(a + 2 * step, v.d01);
+                    _mm256_storeu_pd(b, v.d10);
+                    _mm256_storeu_pd(b + 2 * step, v.d11);
                 }
             }
         }
@@ -277,8 +293,7 @@ inline void swap_vectors(double* a, double* b) {
 
 } // namespace
 
-void density_diagonal_avx2(amp* rho, std::size_t dim, const amp* f,
-                           qubit_t q) {
+void density_diagonal_avx2(amp* rho, std::size_t dim, const amp* f, qubit_t q) {
     if (dim < 4) {
         density_diagonal_scalar(rho, dim, f, q);
         return;
@@ -287,20 +302,18 @@ void density_diagonal_avx2(amp* rho, std::size_t dim, const amp* f,
     const bcast f01 = broadcast(f + 1);
     const bcast f10 = broadcast(f + 2);
     const bcast f11 = broadcast(f + 3);
-    for_each_block_pair(rho, dim, q,
-                        [&](__m256d& d00, __m256d& d01, __m256d& d10,
-                            __m256d& d11) {
-                            d00 = cmul(f00.re, f00.im, d00);
-                            d01 = cmul(f01.re, f01.im, d01);
-                            d10 = cmul(f10.re, f10.im, d10);
-                            d11 = cmul(f11.re, f11.im, d11);
-                        });
+    for_each_block_pair(rho, dim, q, [&](block_pair& v) {
+        v.d00 = cmul(f00.re, f00.im, v.d00);
+        v.d01 = cmul(f01.re, f01.im, v.d01);
+        v.d10 = cmul(f10.re, f10.im, v.d10);
+        v.d11 = cmul(f11.re, f11.im, v.d11);
+    });
 }
 
 void density_cx_avx2(amp* rho, std::size_t dim, qubit_t control,
                      qubit_t target) {
     if (dim < 4 || control == 0 || target == 0) {
-        // A column pair straddles one 256-bit vector: moves stay scalar.
+        // A swapped column pair would straddle one vector: stay scalar.
         density_cx_scalar(rho, dim, control, target);
         return;
     }
@@ -309,9 +322,10 @@ void density_cx_avx2(amp* rho, std::size_t dim, qubit_t control,
     const std::size_t tmask = std::size_t{1} << target;
     for (std::size_t r = 0; r < dim; ++r) {
         if ((r & cmask) != 0 && (r & tmask) == 0) {
+            double* row_a = p + 2 * r * dim;
+            double* row_b = p + 2 * (r | tmask) * dim;
             for (std::size_t c = 0; c < dim; c += 2) {
-                swap_vectors(p + 2 * (r * dim + c),
-                             p + 2 * ((r | tmask) * dim + c));
+                swap_vectors(row_a + 2 * c, row_b + 2 * c);
             }
         }
     }
@@ -333,16 +347,14 @@ void density_depolarize_1q_avx2(amp* rho, std::size_t dim, qubit_t q,
     }
     const __m256d keep = _mm256_set1_pd(1.0 - p);
     const __m256d half_p = _mm256_set1_pd(0.5 * p);
-    for_each_block_pair(rho, dim, q,
-                        [&](__m256d& d00, __m256d& d01, __m256d& d10,
-                            __m256d& d11) {
-                            const __m256d mixed =
-                                _mm256_mul_pd(half_p, _mm256_add_pd(d00, d11));
-                            d00 = _mm256_add_pd(_mm256_mul_pd(keep, d00), mixed);
-                            d11 = _mm256_add_pd(_mm256_mul_pd(keep, d11), mixed);
-                            d01 = _mm256_mul_pd(d01, keep);
-                            d10 = _mm256_mul_pd(d10, keep);
-                        });
+    for_each_block_pair(rho, dim, q, [&](block_pair& v) {
+        const __m256d sum = _mm256_add_pd(v.d00, v.d11);
+        const __m256d mixed = _mm256_mul_pd(half_p, sum);
+        v.d00 = _mm256_add_pd(_mm256_mul_pd(keep, v.d00), mixed);
+        v.d11 = _mm256_add_pd(_mm256_mul_pd(keep, v.d11), mixed);
+        v.d01 = _mm256_mul_pd(v.d01, keep);
+        v.d10 = _mm256_mul_pd(v.d10, keep);
+    });
 }
 
 void density_depolarize_block_avx2(amp* rho, std::size_t dim,
@@ -355,7 +367,7 @@ void density_depolarize_block_avx2(amp* rho, std::size_t dim,
         return;
     }
     // Two column groups per iteration, `delta` columns apart (the lowest
-    // column bit outside the operands), exactly as in apply_block_avx2.
+    // column bit outside the operands), as in apply_block_avx2.
     std::size_t lowest_free = 0;
     for (const qubit_t q : sorted) {
         if (q != lowest_free) {
@@ -367,18 +379,17 @@ void density_depolarize_block_avx2(amp* rho, std::size_t dim,
     const std::size_t block = offsets.size();
     const __m256d keep = _mm256_set1_pd(1.0 - p);
     const __m256d mix = _mm256_set1_pd(p / static_cast<double>(block));
-    double* base_ptr = reinterpret_cast<double*>(rho);
+    double* data = reinterpret_cast<double*>(rho);
     for (std::size_t gr = 0; gr < groups; ++gr) {
         const std::size_t row_base = expand_index(gr, sorted);
         for (std::size_t gc = 0; gc < groups; gc += 2) {
-            double* base =
-                base_ptr + 2 * (row_base * dim + expand_index(gc, sorted));
+            const std::size_t col_base = expand_index(gc, sorted);
+            double* base = data + 2 * (row_base * dim + col_base);
             __m256d reduced = _mm256_setzero_pd();
             for (std::size_t a = 0; a < block; ++a) {
-                reduced = _mm256_add_pd(
-                    reduced,
-                    load_pair(base + 2 * (offsets[a] * dim + offsets[a]),
-                              delta));
+                const std::size_t diagonal = offsets[a] * dim + offsets[a];
+                const __m256d entry = load_pair(base + 2 * diagonal, delta);
+                reduced = _mm256_add_pd(reduced, entry);
             }
             const __m256d contribution = _mm256_mul_pd(mix, reduced);
             for (std::size_t a = 0; a < block; ++a) {
@@ -404,14 +415,12 @@ void density_thermal_avx2(amp* rho, std::size_t dim, qubit_t q, double gamma,
     const __m256d vkeep = _mm256_set1_pd(keep);
     const __m256d vgamma = _mm256_set1_pd(gamma);
     const __m256d vdecay = _mm256_set1_pd(1.0 - gamma);
-    for_each_block_pair(rho, dim, q,
-                        [&](__m256d& d00, __m256d& d01, __m256d& d10,
-                            __m256d& d11) {
-                            d01 = _mm256_mul_pd(d01, vkeep);
-                            d10 = _mm256_mul_pd(d10, vkeep);
-                            d00 = _mm256_add_pd(d00, _mm256_mul_pd(vgamma, d11));
-                            d11 = _mm256_mul_pd(vdecay, d11);
-                        });
+    for_each_block_pair(rho, dim, q, [&](block_pair& v) {
+        v.d01 = _mm256_mul_pd(v.d01, vkeep);
+        v.d10 = _mm256_mul_pd(v.d10, vkeep);
+        v.d00 = _mm256_add_pd(v.d00, _mm256_mul_pd(vgamma, v.d11));
+        v.d11 = _mm256_mul_pd(vdecay, v.d11);
+    });
 }
 
 void density_reset_avx2(amp* rho, std::size_t dim, qubit_t q) {
@@ -420,14 +429,12 @@ void density_reset_avx2(amp* rho, std::size_t dim, qubit_t q) {
         return;
     }
     const __m256d zero = _mm256_setzero_pd();
-    for_each_block_pair(rho, dim, q,
-                        [zero](__m256d& d00, __m256d& d01, __m256d& d10,
-                               __m256d& d11) {
-                            d00 = _mm256_add_pd(_mm256_add_pd(zero, d00), d11);
-                            d01 = zero;
-                            d10 = zero;
-                            d11 = zero;
-                        });
+    for_each_block_pair(rho, dim, q, [&](block_pair& v) {
+        v.d00 = _mm256_add_pd(_mm256_add_pd(zero, v.d00), v.d11);
+        v.d01 = zero;
+        v.d10 = zero;
+        v.d11 = zero;
+    });
 }
 
 } // namespace quorum::qsim::kernels::detail

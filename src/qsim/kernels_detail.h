@@ -31,8 +31,8 @@ void density_depolarize_block_scalar(amp* rho, std::size_t dim,
                                      std::span<const qubit_t> sorted,
                                      std::span<const std::size_t> offsets,
                                      double p);
-void density_thermal_scalar(amp* rho, std::size_t dim, qubit_t q,
-                            double gamma, double keep);
+void density_thermal_scalar(amp* rho, std::size_t dim, qubit_t q, double gamma,
+                            double keep);
 void density_reset_scalar(amp* rho, std::size_t dim, qubit_t q);
 
 void apply_1q_avx2(amp* data, std::size_t dim, const amp* u, qubit_t q);
@@ -41,12 +41,10 @@ void apply_block_avx2(amp* data, std::size_t dim, const amp* u,
                       std::span<const std::size_t> offsets, amp* scratch);
 void collapse_avx2(amp* data, std::size_t dim, qubit_t q, bool outcome,
                    double scale);
-void density_diagonal_avx2(amp* rho, std::size_t dim, const amp* f,
-                           qubit_t q);
+void density_diagonal_avx2(amp* rho, std::size_t dim, const amp* f, qubit_t q);
 void density_cx_avx2(amp* rho, std::size_t dim, qubit_t control,
                      qubit_t target);
-void density_depolarize_1q_avx2(amp* rho, std::size_t dim, qubit_t q,
-                                double p);
+void density_depolarize_1q_avx2(amp* rho, std::size_t dim, qubit_t q, double p);
 void density_depolarize_block_avx2(amp* rho, std::size_t dim,
                                    std::span<const qubit_t> sorted,
                                    std::span<const std::size_t> offsets,

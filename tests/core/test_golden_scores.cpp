@@ -175,8 +175,7 @@ TEST(GoldenScores, FlagshipNoisyScoresMatchFixture) {
 /// measure stochastically. Level 2 resets two qubits before the measure,
 /// so a shot draws up to three outcomes.
 core::quorum_config per_shot_config() {
-    core::quorum_config config =
-        flagship_config(core::exec_mode::per_shot, 2);
+    core::quorum_config config = flagship_config(core::exec_mode::per_shot, 2);
     config.compression_levels = {1, 2};
     config.shots = 512;
     return config;

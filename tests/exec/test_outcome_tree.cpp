@@ -48,6 +48,7 @@ std::vector<double> replay_every_shot(const exec::program& prog,
     }
     std::vector<amp> scratch(16);
     std::vector<bool> cbits(c.num_clbits(), false);
+    const auto target = static_cast<std::size_t>(prog.readout.cbit);
     std::vector<double> out;
     for (const exec::sample& s : samples) {
         statevector base;
@@ -56,8 +57,7 @@ std::vector<double> replay_every_shot(const exec::program& prog,
                                                s.amplitudes.end());
         for (const qsim::prep_slot& slot : c.slots()) {
             base.initialize_register_prepared(slot_amplitudes,
-                                              slot.register_mask,
-                                              slot.offsets);
+                                              slot.register_mask, slot.offsets);
         }
         std::size_t cursor = 0;
         for (const qsim::operation& op : c.prefix()) {
@@ -91,11 +91,9 @@ std::vector<double> replay_every_shot(const exec::program& prog,
                     break;
                 }
             }
-            ones += static_cast<std::size_t>(
-                cbits[static_cast<std::size_t>(prog.readout.cbit)]);
+            ones += static_cast<std::size_t>(cbits[target]);
         }
-        out.push_back(static_cast<double>(ones) /
-                      static_cast<double>(shots));
+        out.push_back(static_cast<double>(ones) / static_cast<double>(shots));
     }
     return out;
 }
@@ -131,10 +129,9 @@ void expect_matches_oracle(const exec::program& prog, std::size_t shots,
     config.sampling_mode = exec::sampling::per_shot;
     config.shots = shots;
     std::vector<double> tree(amps.size());
-    exec::make_executor("statevector", config)
-        ->run_batch(prog, tree_samples, tree);
-    const std::vector<double> oracle =
-        replay_every_shot(prog, shots, oracle_samples);
+    const auto engine = exec::make_executor("statevector", config);
+    engine->run_batch(prog, tree_samples, tree);
+    const auto oracle = replay_every_shot(prog, shots, oracle_samples);
     ASSERT_EQ(tree.size(), oracle.size());
     for (std::size_t i = 0; i < tree.size(); ++i) {
         EXPECT_EQ(tree[i], oracle[i]) << "sample=" << i;
@@ -178,8 +175,8 @@ TEST(OutcomeTree, CertainOutcomesConsumeNoDraws) {
     config.sampling_mode = exec::sampling::per_shot;
     config.shots = 64;
     std::vector<double> out(1);
-    exec::make_executor("statevector", config)
-        ->run_batch(cbit_program(c, 0), samples, out);
+    const auto engine = exec::make_executor("statevector", config);
+    engine->run_batch(cbit_program(c, 0), samples, out);
     EXPECT_EQ(out[0], 1.0);
     EXPECT_EQ(gens[0].uniform(), untouched.uniform());
 }
@@ -188,9 +185,8 @@ TEST(OutcomeTree, MixesCertainAndRandomOutcomes) {
     // A certain reset between two random ones: the walk must skip the
     // draw at the certain node and still draw at its children.
     qsim::circuit c(3, 1);
-    c.h(0).reset(0).x(1).reset(1).ry(0.7, 2).cx(2, 0).reset(2).h(2).cx(0,
-                                                                      2);
-    c.measure(2, 0);
+    c.h(0).reset(0).x(1).reset(1);
+    c.ry(0.7, 2).cx(2, 0).reset(2).h(2).cx(0, 2).measure(2, 0);
     expect_matches_oracle(cbit_program(c, 0), 200, {{}}, 11);
 }
 

@@ -82,6 +82,12 @@ inline void apply_matrix(std::vector<amp>& rho, std::size_t dim,
     std::vector<amp> scratch(block);
     const std::size_t groups = dim >> k;
     for (const bool column_axis : {false, true}) {
+        std::vector<amp> coeffs = m;
+        if (column_axis) {
+            for (amp& coeff : coeffs) {
+                coeff = std::conj(coeff);
+            }
+        }
         for (std::size_t other = 0; other < dim; ++other) {
             for (std::size_t g = 0; g < groups; ++g) {
                 const std::size_t base = expand_index(g, sorted);
@@ -95,10 +101,7 @@ inline void apply_matrix(std::vector<amp>& rho, std::size_t dim,
                 for (std::size_t row = 0; row < block; ++row) {
                     amp sum{};
                     for (std::size_t col = 0; col < block; ++col) {
-                        const amp coeff = column_axis
-                                              ? std::conj(m[row * block + col])
-                                              : m[row * block + col];
-                        sum += coeff * scratch[col];
+                        sum += coeffs[row * block + col] * scratch[col];
                     }
                     rho[linear(base + offsets[row])] = sum;
                 }
@@ -204,8 +207,8 @@ inline void depolarize_block(std::vector<amp>& rho, std::size_t dim,
             const std::size_t col_base = expand_index(c, sorted);
             amp sum{};
             for (std::size_t a = 0; a < block; ++a) {
-                sum += rho[(row_base + sorted_offsets[a]) * dim +
-                           (col_base + sorted_offsets[a])];
+                const std::size_t row = row_base + sorted_offsets[a];
+                sum += rho[row * dim + col_base + sorted_offsets[a]];
             }
             reduced[r * groups + c] = sum;
         }
@@ -221,8 +224,8 @@ inline void depolarize_block(std::vector<amp>& rho, std::size_t dim,
             const std::size_t col_base = expand_index(gc, sorted);
             const amp contribution = mix * reduced[gr * groups + gc];
             for (std::size_t a = 0; a < block; ++a) {
-                rho[(row_base + offsets[a]) * dim + (col_base + offsets[a])] +=
-                    contribution;
+                const std::size_t row = row_base + offsets[a];
+                rho[row * dim + col_base + offsets[a]] += contribution;
             }
         }
     }

@@ -1,8 +1,6 @@
-#include <cmath>
-
 #include <bit>
+#include <cmath>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -298,27 +296,25 @@ std::vector<cd> elements(const density_matrix& rho) {
 }
 
 bool bits_equal(const std::vector<cd>& a, const std::vector<cd>& b) {
+    const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
     if (a.size() != b.size()) {
         return false;
     }
     for (std::size_t i = 0; i < a.size(); ++i) {
-        if (std::bit_cast<std::uint64_t>(a[i].real()) !=
-                std::bit_cast<std::uint64_t>(b[i].real()) ||
-            std::bit_cast<std::uint64_t>(a[i].imag()) !=
-                std::bit_cast<std::uint64_t>(b[i].imag())) {
+        if (bits(a[i].real()) != bits(b[i].real()) ||
+            bits(a[i].imag()) != bits(b[i].imag())) {
             return false;
         }
     }
     return true;
 }
 
-/// Applies `op` to a random mixed state and `reference` to its elements:
-/// the density engine must reproduce its original loops bit for bit.
-void expect_engine_matches_oracle(
-    std::size_t n, quorum::util::rng& gen,
-    const std::function<void(density_matrix&)>& op,
-    const std::function<void(std::vector<cd>&)>& reference,
-    const std::string& what) {
+/// Applies `op` to a random mixed state and `reference` to a copy of its
+/// elements: the engine must reproduce its original loops bit for bit.
+template <typename Op, typename Reference>
+void expect_engine_matches_oracle(std::size_t n, quorum::util::rng& gen, Op op,
+                                  Reference reference,
+                                  const std::string& what) {
     density_matrix rho = random_mixed_state(n, gen);
     std::vector<cd> expected = elements(rho);
     op(rho);
@@ -326,8 +322,10 @@ void expect_engine_matches_oracle(
     EXPECT_TRUE(bits_equal(elements(rho), expected)) << what << " n=" << n;
 }
 
-TEST(DensityMatrix, EngineMatchesOriginalLoopsBitForBit) {
+TEST(DensityMatrix, GatesAndChannelsMatchOriginalLoopsBitForBit) {
     quorum::util::rng gen(20251009);
+    const util::cmatrix sx = gate_matrix(gate_kind::sx);
+    const util::cmatrix cz = gate_matrix(gate_kind::cz);
     for (std::size_t n = 1; n <= 7; ++n) {
         const std::size_t dim = std::size_t{1} << n;
         for (std::size_t qi = 0; qi < n; ++qi) {
@@ -335,75 +333,81 @@ TEST(DensityMatrix, EngineMatchesOriginalLoopsBitForBit) {
             const qubit_t operand[] = {q};
             const double theta[] = {gen.angle()};
             const util::cmatrix rz = gate_matrix(gate_kind::rz, theta);
-            expect_engine_matches_oracle(
-                n, gen,
-                [&](density_matrix& rho) {
-                    rho.apply_gate(gate_kind::rz, operand, theta);
-                },
-                [&](std::vector<cd>& ref) {
-                    oracle::apply_1q(ref, dim, rz.data().data(), q);
-                },
-                "rz q=" + std::to_string(q));
-            const util::cmatrix sx = gate_matrix(gate_kind::sx);
-            expect_engine_matches_oracle(
-                n, gen,
-                [&](density_matrix& rho) {
-                    rho.apply_gate(gate_kind::sx, operand);
-                },
-                [&](std::vector<cd>& ref) {
-                    oracle::apply_1q(ref, dim, sx.data().data(), q);
-                },
-                "sx q=" + std::to_string(q));
+            const auto apply_rz = [&](density_matrix& rho) {
+                rho.apply_gate(gate_kind::rz, operand, theta);
+            };
+            const auto rz_loop = [&](std::vector<cd>& ref) {
+                oracle::apply_1q(ref, dim, rz.data().data(), q);
+            };
+            expect_engine_matches_oracle(n, gen, apply_rz, rz_loop, "rz");
+
+            const auto apply_sx = [&](density_matrix& rho) {
+                rho.apply_gate(gate_kind::sx, operand);
+            };
+            const auto sx_loop = [&](std::vector<cd>& ref) {
+                oracle::apply_1q(ref, dim, sx.data().data(), q);
+            };
+            expect_engine_matches_oracle(n, gen, apply_sx, sx_loop, "sx");
+
             const double gamma = gen.uniform();
             const double lambda = gen.uniform();
-            expect_engine_matches_oracle(
-                n, gen,
-                [&](density_matrix& rho) {
-                    rho.apply_thermal(q, gamma, lambda);
-                },
-                [&](std::vector<cd>& ref) {
-                    oracle::thermal(ref, dim, q, gamma, lambda);
-                },
-                "thermal q=" + std::to_string(q));
-            expect_engine_matches_oracle(
-                n, gen, [&](density_matrix& rho) { rho.reset_qubit(q); },
-                [&](std::vector<cd>& ref) { oracle::reset(ref, dim, q); },
-                "reset q=" + std::to_string(q));
+            const auto thermal = [&](density_matrix& rho) {
+                rho.apply_thermal(q, gamma, lambda);
+            };
+            const auto thermal_loop = [&](std::vector<cd>& ref) {
+                oracle::thermal(ref, dim, q, gamma, lambda);
+            };
+            expect_engine_matches_oracle(n, gen, thermal, thermal_loop,
+                                         "thermal");
+
+            const auto reset = [&](density_matrix& rho) { rho.reset_qubit(q); };
+            const auto reset_loop = [&](std::vector<cd>& ref) {
+                oracle::reset(ref, dim, q);
+            };
+            expect_engine_matches_oracle(n, gen, reset, reset_loop, "reset");
             if (n < 2) {
                 continue;
             }
+
             const double p = gen.uniform();
-            expect_engine_matches_oracle(
-                n, gen,
-                [&](density_matrix& rho) { rho.depolarize(operand, p); },
-                [&](std::vector<cd>& ref) {
-                    oracle::depolarize_1q(ref, dim, q, p);
-                },
-                "depolarize_1q q=" + std::to_string(q));
+            const auto depolarize = [&](density_matrix& rho) {
+                rho.depolarize(operand, p);
+            };
+            const auto depolarize_loop = [&](std::vector<cd>& ref) {
+                oracle::depolarize_1q(ref, dim, q, p);
+            };
+            expect_engine_matches_oracle(n, gen, depolarize, depolarize_loop,
+                                         "depolarize_1q");
+
             const auto partner = static_cast<qubit_t>((qi + 1) % n);
             const qubit_t pair[] = {q, partner};
-            expect_engine_matches_oracle(
-                n, gen,
-                [&](density_matrix& rho) { rho.apply_gate(gate_kind::cx, pair); },
-                [&](std::vector<cd>& ref) { oracle::cx(ref, dim, q, partner); },
-                "cx q=" + std::to_string(q));
-            const util::cmatrix cz = gate_matrix(gate_kind::cz);
-            expect_engine_matches_oracle(
-                n, gen,
-                [&](density_matrix& rho) { rho.apply_matrix(cz, pair); },
-                [&](std::vector<cd>& ref) {
-                    oracle::apply_matrix(ref, dim, cz.data(), {q, partner});
-                },
-                "cz q=" + std::to_string(q));
+            const auto apply_cx = [&](density_matrix& rho) {
+                rho.apply_gate(gate_kind::cx, pair);
+            };
+            const auto cx_loop = [&](std::vector<cd>& ref) {
+                oracle::cx(ref, dim, q, partner);
+            };
+            expect_engine_matches_oracle(n, gen, apply_cx, cx_loop, "cx");
+
+            const auto apply_cz = [&](density_matrix& rho) {
+                rho.apply_matrix(cz, pair);
+            };
+            const auto cz_loop = [&](std::vector<cd>& ref) {
+                oracle::apply_matrix(ref, dim, cz.data(), {q, partner});
+            };
+            expect_engine_matches_oracle(n, gen, apply_cz, cz_loop, "cz");
             if (n < 3) {
                 continue;
             }
-            expect_engine_matches_oracle(
-                n, gen, [&](density_matrix& rho) { rho.depolarize(pair, p); },
-                [&](std::vector<cd>& ref) {
-                    oracle::depolarize_block(ref, dim, {q, partner}, p);
-                },
-                "depolarize_2q q=" + std::to_string(q));
+
+            const auto depolarize_pair = [&](density_matrix& rho) {
+                rho.depolarize(pair, p);
+            };
+            const auto pair_loop = [&](std::vector<cd>& ref) {
+                oracle::depolarize_block(ref, dim, {q, partner}, p);
+            };
+            expect_engine_matches_oracle(n, gen, depolarize_pair, pair_loop,
+                                         "depolarize_2q");
         }
     }
 }

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -256,7 +257,7 @@ TEST(kernels, statevector_and_kernel_apply_agree) {
                               state.amplitudes().end())));
 }
 
-// ---- Density kernels vs the original density-matrix loops -------------
+// Density kernels vs. the original density-matrix loops.
 
 namespace oracle = quorum::qsim::oracle;
 
@@ -276,13 +277,12 @@ std::vector<amp> random_density(std::size_t n, quorum::util::rng& gen) {
     std::vector<amp> rho(dim * dim);
     double weight_left = 1.0;
     for (int component = 0; component < 3; ++component) {
-        std::vector<amp> psi = random_state(dim, gen);
+        const std::vector<amp> psi = random_state(dim, gen);
         double norm = 0.0;
         for (const amp& a : psi) {
             norm += std::norm(a);
         }
-        const double w = component == 2 ? weight_left
-                                         : weight_left * gen.uniform();
+        const double w = component == 2 ? weight_left : weight_left * 0.5;
         weight_left -= w;
         for (std::size_t r = 0; r < dim; ++r) {
             for (std::size_t c = 0; c < dim; ++c) {
@@ -311,8 +311,21 @@ void expect_matches_oracle(const std::vector<amp>& rho, Kernel kernel,
     }
 }
 
-std::string label(std::size_t n, qubit_t q) {
-    return "n=" + std::to_string(n) + " q=" + std::to_string(q);
+std::string label(const char* kernel, std::size_t n,
+                  std::initializer_list<qubit_t> qubits) {
+    std::string out = std::string(kernel) + " n=" + std::to_string(n) + " q=";
+    for (const qubit_t q : qubits) {
+        out += std::to_string(q) + ",";
+    }
+    return out;
+}
+
+std::vector<amp> conjugated(const std::vector<amp>& u) {
+    std::vector<amp> out(u.size());
+    for (std::size_t i = 0; i < u.size(); ++i) {
+        out[i] = std::conj(u[i]);
+    }
+    return out;
 }
 
 TEST(density_kernels, diagonal_pass_matches_oracle) {
@@ -320,19 +333,19 @@ TEST(density_kernels, diagonal_pass_matches_oracle) {
     for (std::size_t n = 1; n <= 7; ++n) {
         const std::size_t dim = std::size_t{1} << n;
         for (qubit_t q = 0; q < n; ++q) {
-            const std::vector<amp> rho = random_density(n, gen);
             const amp d0 = std::polar(1.0, gen.angle());
             const amp d1 = std::polar(1.0, gen.angle());
             const amp u[4] = {d0, amp{}, amp{}, d1};
             const amp f[4] = {d0 * std::conj(d0), d0 * std::conj(d1),
                               d1 * std::conj(d0), d1 * std::conj(d1)};
-            expect_matches_oracle(
-                rho,
-                [&](amp* data, kernels::isa which) {
-                    kernels::density_diagonal(data, n, f, q, which);
-                },
-                [&](std::vector<amp>& ref) { oracle::apply_1q(ref, dim, u, q); },
-                "diagonal " + label(n, q));
+            const auto kernel = [&](amp* data, kernels::isa which) {
+                kernels::density_diagonal(data, n, f, q, which);
+            };
+            const auto reference = [&](std::vector<amp>& ref) {
+                oracle::apply_1q(ref, dim, u, q);
+            };
+            expect_matches_oracle(random_density(n, gen), kernel, reference,
+                                  label("diagonal", n, {q}));
         }
     }
 }
@@ -342,23 +355,18 @@ TEST(density_kernels, general_1q_is_a_row_then_column_pass) {
     for (std::size_t n = 1; n <= 7; ++n) {
         const std::size_t dim = std::size_t{1} << n;
         for (qubit_t q = 0; q < n; ++q) {
-            const std::vector<amp> rho = random_density(n, gen);
             const std::vector<amp> u = random_matrix(2, gen);
-            std::vector<amp> conj_u(4);
-            for (std::size_t i = 0; i < 4; ++i) {
-                conj_u[i] = std::conj(u[i]);
-            }
-            expect_matches_oracle(
-                rho,
-                [&](amp* data, kernels::isa which) {
-                    kernels::apply_1q(data, 2 * n, u.data(),
-                                      static_cast<qubit_t>(q + n), which);
-                    kernels::apply_1q(data, 2 * n, conj_u.data(), q, which);
-                },
-                [&](std::vector<amp>& ref) {
-                    oracle::apply_1q(ref, dim, u.data(), q);
-                },
-                "1q " + label(n, q));
+            const std::vector<amp> conj_u = conjugated(u);
+            const auto row = static_cast<qubit_t>(q + n);
+            const auto kernel = [&](amp* data, kernels::isa which) {
+                kernels::apply_1q(data, 2 * n, u.data(), row, which);
+                kernels::apply_1q(data, 2 * n, conj_u.data(), q, which);
+            };
+            const auto reference = [&](std::vector<amp>& ref) {
+                oracle::apply_1q(ref, dim, u.data(), q);
+            };
+            expect_matches_oracle(random_density(n, gen), kernel, reference,
+                                  label("1q", n, {q}));
         }
     }
 }
@@ -370,12 +378,8 @@ TEST(density_kernels, block_gate_is_a_row_then_column_pass) {
         for (std::size_t k = 2; k <= 3; ++k) {
             for (const std::vector<qubit_t>& qubits : operand_sets(n, k)) {
                 const std::size_t block = std::size_t{1} << k;
-                const std::vector<amp> rho = random_density(n, gen);
                 const std::vector<amp> u = random_matrix(block, gen);
-                std::vector<amp> conj_u(u.size());
-                for (std::size_t i = 0; i < u.size(); ++i) {
-                    conj_u[i] = std::conj(u[i]);
-                }
+                const std::vector<amp> conj_u = conjugated(u);
                 std::vector<qubit_t> rows = qubits;
                 for (qubit_t& q : rows) {
                     q = static_cast<qubit_t>(q + n);
@@ -384,23 +388,21 @@ TEST(density_kernels, block_gate_is_a_row_then_column_pass) {
                 std::sort(sorted_rows.begin(), sorted_rows.end());
                 std::vector<qubit_t> sorted_cols = qubits;
                 std::sort(sorted_cols.begin(), sorted_cols.end());
+                const auto row_offsets = make_offsets(rows);
+                const auto col_offsets = make_offsets(qubits);
                 std::vector<amp> scratch(block);
-                expect_matches_oracle(
-                    rho,
-                    [&](amp* data, kernels::isa which) {
-                        kernels::apply_block(data, 2 * n, u.data(),
-                                             sorted_rows, make_offsets(rows),
-                                             scratch.data(), which);
-                        kernels::apply_block(data, 2 * n, conj_u.data(),
-                                             sorted_cols,
-                                             make_offsets(qubits),
-                                             scratch.data(), which);
-                    },
-                    [&](std::vector<amp>& ref) {
-                        oracle::apply_matrix(ref, dim, u, qubits);
-                    },
-                    "block " + label(n, qubits[0]) + " k=" +
-                        std::to_string(k));
+                const auto kernel = [&](amp* data, kernels::isa which) {
+                    kernels::apply_block(data, 2 * n, u.data(), sorted_rows,
+                                         row_offsets, scratch.data(), which);
+                    kernels::apply_block(data, 2 * n, conj_u.data(),
+                                         sorted_cols, col_offsets,
+                                         scratch.data(), which);
+                };
+                const auto reference = [&](std::vector<amp>& ref) {
+                    oracle::apply_matrix(ref, dim, u, qubits);
+                };
+                expect_matches_oracle(random_density(n, gen), kernel, reference,
+                                      label("block", n, {qubits[0]}));
             }
         }
     }
@@ -415,14 +417,14 @@ TEST(density_kernels, cx_matches_oracle) {
                 if (c == t) {
                     continue;
                 }
-                const std::vector<amp> rho = random_density(n, gen);
-                expect_matches_oracle(
-                    rho,
-                    [&](amp* data, kernels::isa which) {
-                        kernels::density_cx(data, n, c, t, which);
-                    },
-                    [&](std::vector<amp>& ref) { oracle::cx(ref, dim, c, t); },
-                    "cx " + label(n, c) + " t=" + std::to_string(t));
+                const auto kernel = [&](amp* data, kernels::isa which) {
+                    kernels::density_cx(data, n, c, t, which);
+                };
+                const auto reference = [&](std::vector<amp>& ref) {
+                    oracle::cx(ref, dim, c, t);
+                };
+                expect_matches_oracle(random_density(n, gen), kernel, reference,
+                                      label("cx", n, {c, t}));
             }
         }
     }
@@ -433,17 +435,15 @@ TEST(density_kernels, depolarize_1q_matches_oracle) {
     for (std::size_t n = 2; n <= 7; ++n) {
         const std::size_t dim = std::size_t{1} << n;
         for (qubit_t q = 0; q < n; ++q) {
-            const std::vector<amp> rho = random_density(n, gen);
             const double p = gen.uniform();
-            expect_matches_oracle(
-                rho,
-                [&](amp* data, kernels::isa which) {
-                    kernels::density_depolarize_1q(data, n, q, p, which);
-                },
-                [&](std::vector<amp>& ref) {
-                    oracle::depolarize_1q(ref, dim, q, p);
-                },
-                "depolarize_1q " + label(n, q));
+            const auto kernel = [&](amp* data, kernels::isa which) {
+                kernels::density_depolarize_1q(data, n, q, p, which);
+            };
+            const auto reference = [&](std::vector<amp>& ref) {
+                oracle::depolarize_1q(ref, dim, q, p);
+            };
+            expect_matches_oracle(random_density(n, gen), kernel, reference,
+                                  label("depolarize_1q", n, {q}));
         }
     }
 }
@@ -460,19 +460,17 @@ TEST(density_kernels, depolarize_2q_matches_oracle) {
                 const std::vector<qubit_t> qubits{a, b};
                 std::vector<qubit_t> sorted = qubits;
                 std::sort(sorted.begin(), sorted.end());
-                const std::vector<amp> rho = random_density(n, gen);
+                const std::vector<std::size_t> offsets = make_offsets(sorted);
                 const double p = gen.uniform();
-                expect_matches_oracle(
-                    rho,
-                    [&](amp* data, kernels::isa which) {
-                        kernels::density_depolarize_block(
-                            data, n, sorted, make_offsets(sorted), p, which);
-                    },
-                    [&](std::vector<amp>& ref) {
-                        oracle::depolarize_block(ref, dim, qubits, p);
-                    },
-                    "depolarize_2q " + label(n, a) + " b=" +
-                        std::to_string(b));
+                const auto kernel = [&](amp* data, kernels::isa which) {
+                    kernels::density_depolarize_block(data, n, sorted, offsets,
+                                                      p, which);
+                };
+                const auto reference = [&](std::vector<amp>& ref) {
+                    oracle::depolarize_block(ref, dim, qubits, p);
+                };
+                expect_matches_oracle(random_density(n, gen), kernel, reference,
+                                      label("depolarize_2q", n, {a, b}));
             }
         }
     }
@@ -483,18 +481,16 @@ TEST(density_kernels, thermal_matches_oracle) {
     for (std::size_t n = 1; n <= 7; ++n) {
         const std::size_t dim = std::size_t{1} << n;
         for (qubit_t q = 0; q < n; ++q) {
-            const std::vector<amp> rho = random_density(n, gen);
             const double gamma = q % 3 == 1 ? 0.0 : gen.uniform();
             const double lambda = q % 3 == 2 ? 0.0 : gen.uniform();
-            expect_matches_oracle(
-                rho,
-                [&](amp* data, kernels::isa which) {
-                    kernels::density_thermal(data, n, q, gamma, lambda, which);
-                },
-                [&](std::vector<amp>& ref) {
-                    oracle::thermal(ref, dim, q, gamma, lambda);
-                },
-                "thermal " + label(n, q));
+            const auto kernel = [&](amp* data, kernels::isa which) {
+                kernels::density_thermal(data, n, q, gamma, lambda, which);
+            };
+            const auto reference = [&](std::vector<amp>& ref) {
+                oracle::thermal(ref, dim, q, gamma, lambda);
+            };
+            expect_matches_oracle(random_density(n, gen), kernel, reference,
+                                  label("thermal", n, {q}));
         }
     }
 }
@@ -504,14 +500,14 @@ TEST(density_kernels, reset_matches_oracle) {
     for (std::size_t n = 1; n <= 7; ++n) {
         const std::size_t dim = std::size_t{1} << n;
         for (qubit_t q = 0; q < n; ++q) {
-            const std::vector<amp> rho = random_density(n, gen);
-            expect_matches_oracle(
-                rho,
-                [&](amp* data, kernels::isa which) {
-                    kernels::density_reset(data, n, q, which);
-                },
-                [&](std::vector<amp>& ref) { oracle::reset(ref, dim, q); },
-                "reset " + label(n, q));
+            const auto kernel = [&](amp* data, kernels::isa which) {
+                kernels::density_reset(data, n, q, which);
+            };
+            const auto reference = [&](std::vector<amp>& ref) {
+                oracle::reset(ref, dim, q);
+            };
+            expect_matches_oracle(random_density(n, gen), kernel, reference,
+                                  label("reset", n, {q}));
         }
     }
 }
