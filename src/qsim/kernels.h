@@ -1,9 +1,10 @@
-// Vectorised state-vector apply kernels behind runtime CPU dispatch.
+// Vectorised state-vector and density-matrix kernels behind runtime CPU
+// dispatch.
 //
 // The scalar kernels are THE bit-exactness reference: they reproduce,
-// operation for operation, the arithmetic the statevector engine has
-// always used (two complex multiplies, then one complex add, per output
-// amplitude; sequential column accumulation for dense blocks). The AVX2
+// operation for operation, the arithmetic the engines have always used
+// (two complex multiplies, then one complex add, per output amplitude;
+// sequential column accumulation for dense blocks). The AVX2
 // kernels vectorise ACROSS independent amplitude groups — every lane
 // performs exactly the scalar operation sequence on its own amplitude,
 // with no FMA contraction and no reassociation — so both ISAs produce
