@@ -1,6 +1,7 @@
 // State-vector execution backend: exact branch-mixture replay (the
 // bit-exact path behind Quorum's exact/sampled modes) plus fused per-shot
-// stochastic replay (hardware semantics).
+// stochastic replay (hardware semantics), which walks a memoised tree of
+// reset/measure outcomes per sample instead of replaying every shot.
 //
 // Batched replay amortises everything sample-independent — circuit build,
 // validation, gate-matrix trigonometry, and (per-shot) the unitary head
