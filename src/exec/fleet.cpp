@@ -6,66 +6,15 @@
 
 #include "exec/registry.h"
 #include "exec/serialise.h"
+#include "exec/sharded_backend.h"
 #include "util/contracts.h"
 
 namespace quorum::exec {
 
-namespace {
-
-[[noreturn]] void fail_span(const shard_work& span, const std::string& why) {
-    throw util::contract_error(
-        "fleet span (samples [" + std::to_string(span.first) + ", " +
-        std::to_string(span.first + span.count) + ")) failed: " + why);
-}
-
-/// Mirrors the remote backend's reply validation: error replies and
-/// malformed results surface as structured contract_errors naming the
-/// span; the worker that produced the reply already named itself in any
-/// death message.
-void decode_result_into(std::span<const std::uint8_t> reply,
-                        const shard_work& span,
-                        std::size_t values_per_sample,
-                        std::span<double> out) {
-    if (reply.empty()) {
-        fail_span(span, "empty reply");
-    }
-    wire::reader in(reply);
-    const std::uint8_t type = in.u8();
-    if (type == static_cast<std::uint8_t>(wire::message::error)) {
-        std::string message = "malformed error reply";
-        try {
-            message = in.str();
-        } catch (const util::contract_error&) {
-        }
-        fail_span(span, message);
-    }
-    if (type != static_cast<std::uint8_t>(wire::message::result)) {
-        fail_span(span, "unexpected reply type " + std::to_string(type));
-    }
-    try {
-        const std::uint64_t count = in.u64();
-        QUORUM_EXPECTS_MSG(count == span.count * values_per_sample,
-                           "result count does not match the span");
-        in.expect_available(count, 8);
-        double* slot = out.data() + span.first * values_per_sample;
-        for (std::uint64_t i = 0; i < count; ++i) {
-            slot[i] = in.f64();
-        }
-        in.expect_done();
-    } catch (const util::contract_error& error) {
-        fail_span(span, std::string("malformed reply: ") + error.what());
-    }
-}
-
-} // namespace
-
 // --- worker_fleet -----------------------------------------------------------
 
 worker_fleet::worker_fleet(fleet_config config) : config_(std::move(config)) {
-    QUORUM_EXPECTS_MSG(!config_.inner.empty() && config_.inner != "remote" &&
-                           config_.inner != "sharded" &&
-                           config_.inner != "fleet" &&
-                           config_.inner.find(':') == std::string::npos,
+    QUORUM_EXPECTS_MSG(is_plain_backend_name(config_.inner),
                        "the fleet wraps one plain inner backend name (no "
                        "nesting)");
     QUORUM_EXPECTS_MSG(config_.max_pending_spans >= 1,
@@ -90,41 +39,35 @@ worker_fleet::~worker_fleet() {
         }
     }
     // Jobs the lanes never claimed: fail their batches instead of leaving
-    // collectors blocked on futures that will never resolve.
-    for (span_job& job : queue_) {
-        job.batch->promises[job.index].set_exception(
-            std::make_exception_ptr(
-                util::contract_error("fleet is shutting down")));
-    }
-    queue_.clear();
+    // collectors blocked on spans that will never run.
+    const std::lock_guard<std::mutex> lock(mutex_);
+    fail_queue_locked("fleet is shutting down");
 }
 
 void worker_fleet::add_factory_lane(transport_factory factory,
                                     std::string label) {
     QUORUM_EXPECTS_MSG(static_cast<bool>(factory),
                        "fleet lane needs a transport factory");
-    auto lane = std::make_unique<lane_state>();
-    lane->label = std::move(label);
-    lane->factory = std::move(factory);
-    lane_state* raw = lane.get();
-    const std::lock_guard<std::mutex> lock(mutex_);
-    QUORUM_EXPECTS_MSG(!stopping_, "fleet is shutting down");
-    raw->factory_index = lanes_.size();
-    ++pending_lanes_;
-    lanes_.push_back(std::move(lane));
-    raw->thread = std::thread([this, raw] { lane_main(*raw); });
+    start_lane(std::move(label), std::move(factory), nullptr);
 }
 
 void worker_fleet::add_lane(std::unique_ptr<wire_transport> transport,
                             std::string label) {
     QUORUM_EXPECTS_MSG(transport != nullptr,
                        "fleet lane needs a transport");
+    start_lane(std::move(label), nullptr, std::move(transport));
+}
+
+void worker_fleet::start_lane(std::string label, transport_factory factory,
+                              std::unique_ptr<wire_transport> adopted) {
     auto lane = std::make_unique<lane_state>();
     lane->label = std::move(label);
-    lane->adopted = std::move(transport);
+    lane->factory = std::move(factory);
+    lane->adopted = std::move(adopted);
     lane_state* raw = lane.get();
     const std::lock_guard<std::mutex> lock(mutex_);
     QUORUM_EXPECTS_MSG(!stopping_, "fleet is shutting down");
+    raw->factory_index = lanes_.size();
     ++pending_lanes_;
     lanes_.push_back(std::move(lane));
     raw->thread = std::thread([this, raw] { lane_main(*raw); });
@@ -167,6 +110,14 @@ void worker_fleet::wait_for_lanes(std::size_t lanes, int timeout_ms) const {
                         : "; last failure: " + last_lane_error_ + ")"));
 }
 
+void worker_fleet::wait_for_handshakes() const {
+    std::unique_lock<std::mutex> lock(mutex_);
+    lanes_cv_.wait(lock, [&] { return pending_lanes_ == 0; });
+    if (live_lanes_ == 0) {
+        throw util::contract_error(no_workers_message_locked());
+    }
+}
+
 std::string worker_fleet::no_workers_message_locked() const {
     std::string message = "fleet has no live workers";
     if (!last_lane_error_.empty()) {
@@ -179,13 +130,35 @@ void worker_fleet::note_lane_gone_locked() {
     if (!no_lanes_locked() || stopping_) {
         return;
     }
-    for (span_job& job : queue_) {
-        job.batch->promises[job.index].set_exception(
-            std::make_exception_ptr(
-                util::contract_error(no_workers_message_locked())));
+    fail_queue_locked(no_workers_message_locked());
+}
+
+void worker_fleet::fail_queue_locked(const std::string& why) {
+    std::deque<span_job> doomed;
+    doomed.swap(queue_);
+    for (const span_job& job : doomed) {
+        finish_locked(job,
+                      std::make_exception_ptr(util::contract_error(why)));
     }
-    queue_.clear();
     space_cv_.notify_all();
+}
+
+void worker_fleet::finish_locked(const span_job& job,
+                                 std::exception_ptr failure) {
+    batch_state& batch = *job.batch;
+    if (failure != nullptr && batch.failure == nullptr) {
+        // Don't ship more doomed work: the batch's queued spans retire
+        // unrun, and a submitter blocked on the bound sees the failure.
+        batch.failure = std::move(failure);
+        batch.outstanding -= std::erase_if(
+            queue_, [&](const span_job& queued) {
+                return queued.batch == &batch;
+            });
+        space_cv_.notify_all();
+    }
+    if (--batch.outstanding == 0) {
+        done_cv_.notify_all();
+    }
 }
 
 void worker_fleet::lane_main(lane_state& lane) {
@@ -239,25 +212,19 @@ void worker_fleet::lane_main(lane_state& lane) {
                 transport->send_message(wire::encode_shutdown());
             } catch (...) { // NOLINT(bugprone-empty-catch)
             }
-            const std::lock_guard<std::mutex> lock(mutex_);
-            --live_lanes_;
-            lane.live = false;
-            lanes_cv_.notify_all();
-            return;
         }
-        // The transport died mid-serve. Registered lanes drop out (their
-        // worker rejoins by dialing in again); factory lanes go back to
-        // the top and reconnect.
+        // Shutdown, or the transport died mid-serve. Registered lanes
+        // drop out (their worker rejoins by dialing in again); factory
+        // lanes go back to the top and reconnect.
         const std::lock_guard<std::mutex> lock(mutex_);
         --live_lanes_;
         lane.live = false;
+        lanes_cv_.notify_all();
         if (lane.factory == nullptr || stopping_) {
             note_lane_gone_locked();
-            lanes_cv_.notify_all();
             return;
         }
         ++pending_lanes_;
-        lanes_cv_.notify_all();
     }
 }
 
@@ -271,7 +238,7 @@ bool worker_fleet::serve_on(lane_state& lane, wire_transport& transport) {
             if (stopping_) {
                 return true;
             }
-            job = std::move(queue_.front());
+            job = queue_.front();
             queue_.pop_front();
             space_cv_.notify_one();
         }
@@ -283,42 +250,51 @@ bool worker_fleet::serve_on(lane_state& lane, wire_transport& transport) {
             transport.send_message(job.batch->requests[job.index]);
             reply = transport.recv_message();
         } catch (const transport_error& error) {
-            handle_lane_death(lane, std::move(job), error.what());
+            handle_lane_death(lane, job, error.what());
             return false;
         }
-        {
-            const std::lock_guard<std::mutex> lock(mutex_);
-            ++lane.completed;
+        // Each span owns a disjoint slice of `out`; run_spans reads it
+        // only after the last job retires under the lock.
+        std::exception_ptr failure;
+        try {
+            const std::size_t width = job.batch->values_per_sample;
+            wire::decode_result_reply(
+                reply, job.batch->out.subspan(job.span.first * width,
+                                              job.span.count * width));
+        } catch (const util::contract_error& error) {
+            failure = std::make_exception_ptr(util::contract_error(
+                span_failure("fleet worker " + lane.label, job.span,
+                             error.what())));
         }
-        job.batch->promises[job.index].set_value(std::move(reply));
+        const std::lock_guard<std::mutex> lock(mutex_);
+        ++lane.completed;
+        finish_locked(job, std::move(failure));
     }
 }
 
 void worker_fleet::handle_lane_death(const lane_state& lane, span_job job,
                                      const std::string& why) {
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        last_lane_error_ = lane.label + ": " + why;
-        if (job.attempts == 0 && !stopping_) {
-            // THE span's one requeue: any live lane — possibly this one,
-            // reconnected — re-runs it. Deliberately not bounded by
-            // max_pending_spans: a lane blocking on its own requeue would
-            // deadlock the bound.
-            job.attempts = 1;
-            ++requeued_;
-            queue_.push_back(std::move(job));
-            queue_cv_.notify_one();
-            return;
-        }
+    const std::lock_guard<std::mutex> lock(mutex_);
+    last_lane_error_ = lane.label + ": " + why;
+    if (job.batch->failure != nullptr) {
+        finish_locked(job, nullptr); // the batch is lost already
+    } else if (job.attempts == 0 && !stopping_) {
+        // THE span's one requeue: any live lane — possibly this one,
+        // reconnected — re-runs it. Deliberately not bounded by
+        // max_pending_spans: a lane blocking on its own requeue would
+        // deadlock the bound.
+        job.attempts = 1;
+        ++requeued_;
+        queue_.push_back(job);
+        queue_cv_.notify_one();
+    } else {
+        finish_locked(job, std::make_exception_ptr(util::contract_error(
+                               span_failure("fleet worker " + lane.label,
+                                            job.span,
+                                            "worker died (requeue "
+                                            "exhausted): " +
+                                                why))));
     }
-    job.batch->promises[job.index].set_exception(std::make_exception_ptr(
-        util::contract_error("fleet worker " + lane.label + " (samples [" +
-                             std::to_string(job.span.first) + ", " +
-                             std::to_string(job.span.first +
-                                            job.span.count) +
-                             ")) failed: worker died (requeue "
-                             "exhausted): " +
-                             why)));
 }
 
 void worker_fleet::run_spans(std::span<const shard_work> plan,
@@ -327,37 +303,38 @@ void worker_fleet::run_spans(std::span<const shard_work> plan,
                              std::span<double> out) {
     QUORUM_EXPECTS_MSG(plan.size() == requests.size(),
                        "fleet: one request per planned span");
-    auto batch = std::make_shared<batch_state>();
-    batch->requests = std::move(requests);
-    batch->promises.resize(plan.size());
-    std::vector<std::future<std::vector<std::uint8_t>>> replies;
-    replies.reserve(plan.size());
-    for (std::promise<std::vector<std::uint8_t>>& p : batch->promises) {
-        replies.push_back(p.get_future());
-    }
-    for (std::size_t k = 0; k < plan.size(); ++k) {
-        std::unique_lock<std::mutex> lock(mutex_);
+    batch_state batch{std::move(requests), out, values_per_sample, 0, {}};
+    std::unique_lock<std::mutex> lock(mutex_);
+    for (std::size_t k = 0; k < plan.size() && batch.failure == nullptr;
+         ++k) {
         space_cv_.wait(lock, [&] {
             return stopping_ || no_lanes_locked() ||
+                   batch.failure != nullptr ||
                    queue_.size() < config_.max_pending_spans;
         });
-        QUORUM_EXPECTS_MSG(!stopping_, "fleet is shutting down");
-        if (no_lanes_locked()) {
-            throw util::contract_error(no_workers_message_locked());
+        if (stopping_ || no_lanes_locked()) {
+            batch.failure = std::make_exception_ptr(util::contract_error(
+                stopping_ ? std::string("fleet is shutting down")
+                          : no_workers_message_locked()));
+        } else if (batch.failure == nullptr) {
+            ++batch.outstanding;
+            queue_.push_back(span_job{&batch, k, plan[k], 0});
+            queue_cv_.notify_one();
         }
-        queue_.push_back(span_job{batch, k, plan[k], 0});
-        queue_cv_.notify_one();
     }
-    for (std::size_t k = 0; k < plan.size(); ++k) {
-        const std::vector<std::uint8_t> reply = replies[k].get();
-        decode_result_into(reply, plan[k], values_per_sample, out);
+    // Even a failed batch waits for its running spans: they write into
+    // `out` and point at `batch`.
+    done_cv_.wait(lock, [&] { return batch.outstanding == 0; });
+    if (batch.failure != nullptr) {
+        std::rethrow_exception(batch.failure);
     }
 }
 
 // --- fleet_executor ---------------------------------------------------------
 
-fleet_executor::fleet_executor(std::shared_ptr<worker_fleet> fleet)
-    : fleet_(std::move(fleet)) {
+fleet_executor::fleet_executor(std::shared_ptr<worker_fleet> fleet,
+                               std::size_t planned_lanes)
+    : fleet_(std::move(fleet)), planned_lanes_(planned_lanes) {
     QUORUM_EXPECTS_MSG(fleet_ != nullptr, "fleet executor needs a fleet");
     const fleet_config& config = fleet_->config();
     spec_ = "fleet:" + config.inner;
@@ -366,58 +343,55 @@ fleet_executor::fleet_executor(std::shared_ptr<worker_fleet> fleet)
     probe_ = make_executor(config.inner, config.engine);
 }
 
-std::size_t fleet_executor::plan_lanes() const {
-    return std::clamp<std::size_t>(fleet_->lane_count(), 1,
-                                   sharded_backend::max_shards);
-}
-
 void fleet_executor::run_batch(const program& prog,
                                std::span<const sample> samples,
                                std::span<double> out) const {
     validate_batch(prog, samples, out, needs_rng_);
-    if (samples.empty()) {
-        return;
-    }
-    wire::writer block;
-    wire::encode_program(block, prog);
-    const std::vector<std::uint8_t> blob = block.take();
-    const std::vector<shard_work> plan =
-        planner_.plan(samples.size(), plan_lanes(), &prog);
-    std::vector<std::vector<std::uint8_t>> requests;
-    requests.reserve(plan.size());
-    for (const shard_work& span : plan) {
-        requests.push_back(wire::encode_span_request(
-            span, blob, samples.subspan(span.first, span.count), 0,
-            needs_rng_));
-    }
-    fleet_->run_spans(plan, std::move(requests), 1, out);
+    dispatch(std::span<const program>(&prog, 1), 0, samples, out);
 }
 
 void fleet_executor::run_batch_levels(std::span<const program> levels,
                                       std::span<const sample> samples,
                                       std::span<double> out) const {
     validate_level_batch(levels, samples, out, needs_rng_);
+    dispatch(levels, levels.size(), samples, out);
+}
+
+void fleet_executor::dispatch(std::span<const program> programs,
+                              std::size_t levels,
+                              std::span<const sample> samples,
+                              std::span<double> out) const {
     if (samples.empty()) {
         return;
     }
     wire::writer block;
-    block.u32(static_cast<std::uint32_t>(levels.size()));
-    for (const program& level : levels) {
-        wire::encode_program(block, level);
+    if (levels > 0) {
+        block.u32(static_cast<std::uint32_t>(levels));
+    }
+    for (const program& prog : programs) {
+        wire::encode_program(block, prog);
     }
     const std::vector<std::uint8_t> blob = block.take();
-    // Keyed by sample index only, exactly like the sharded and remote
-    // plans, so fused evaluation composes with fleet-size invariance.
-    const std::vector<shard_work> plan =
-        planner_.plan(samples.size(), plan_lanes(), nullptr);
+    const std::size_t lanes =
+        planned_lanes_ > 0
+            ? planned_lanes_
+            : std::clamp<std::size_t>(fleet_->lane_count(), 1,
+                                      sharded_backend::max_shards);
+    // Keyed by sample index only, exactly like the in-process sharded
+    // plan (a family plans without a program), so fused evaluation
+    // composes with lane-count invariance.
+    const std::vector<shard_work> plan = planner_.plan(
+        samples.size(), lanes, levels == 0 ? programs.data() : nullptr);
     std::vector<std::vector<std::uint8_t>> requests;
     requests.reserve(plan.size());
     for (const shard_work& span : plan) {
         requests.push_back(wire::encode_span_request(
-            span, blob, samples.subspan(span.first, span.count),
-            levels.size(), needs_rng_));
+            span, blob, samples.subspan(span.first, span.count), levels,
+            needs_rng_));
     }
-    fleet_->run_spans(plan, std::move(requests), levels.size(), out);
+    fleet_->run_spans(plan, std::move(requests), std::max<std::size_t>(
+                                                     levels, 1),
+                      out);
 }
 
 } // namespace quorum::exec

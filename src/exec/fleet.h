@@ -1,16 +1,14 @@
-// Persistent worker fleet: the coordinator side of the serving layer.
-//
-// The remote backend (exec/remote_backend.h) pins a private set of worker
-// lanes to one engine and serialises its batches on a mutex — the right
-// shape for a CLI run, the wrong one for a daemon. worker_fleet
-// generalises it: the fleet owns long-lived lanes (each a wire_transport
-// plus a thread), a single bounded queue of span jobs, and multiplexes
-// MANY concurrent in-flight batches across those lanes. Any live lane may
-// execute any span; results are keyed by sample index alone, and every
-// double travels as its IEEE-754 bit pattern — so scores are IEEE == to
-// the plain backend for any fleet size and any interleaving of concurrent
-// clients (tests/exec/test_fleet_faults.cpp, tests/core/
-// test_serve_golden.cpp).
+// Persistent worker fleet: the one coordinator that ships span work to
+// quorum_worker processes. It owns long-lived lanes (each a
+// wire_transport plus a thread) and a single bounded queue of span jobs,
+// and multiplexes MANY concurrent in-flight batches across those lanes.
+// Any live lane may execute any span; results are keyed by sample index
+// alone, and every double travels as its IEEE-754 bit pattern — so
+// scores are IEEE == to the plain backend for any fleet size and any
+// interleaving of concurrent clients (tests/exec/test_fleet_faults.cpp,
+// tests/core/test_serve_golden.cpp). quorum_serve shares one fleet
+// across requests; remote:<inner> (exec/remote_backend.h) runs each
+// engine on a private fleet of factory lanes.
 //
 // Lanes come in two flavours:
 //   * factory lanes (add_factory_lane) create their transport through a
@@ -21,13 +19,16 @@
 //     on; when that worker dies the lane is dropped, and the worker
 //     rejoins by dialing in again.
 //
-// Fault model, generalising PR 5's requeue-once rule: a span whose lane
-// dies mid-flight is requeued ONCE and any live lane re-runs it (spans
-// are idempotent — same plan, same RNG snapshots, same bits); a second
-// death fails that span's batch with a structured util::contract_error
-// naming the lane and sample span, leaving other in-flight batches
-// untouched. When the last lane is gone queued work fails structurally
-// instead of waiting forever.
+// Fault model: a span whose lane dies mid-flight is requeued ONCE and
+// any live lane re-runs it (spans are idempotent — same plan, same RNG
+// snapshots, same bits); a second death fails that span's batch. A lane
+// sends a request and reads its reply as one unit, so it never holds an
+// unread reply, and it decodes the reply itself: an error or malformed
+// reply fails the batch without a retry. Every failure is a structured
+// util::contract_error naming the lane and the sample span. A failed
+// batch's queued spans are dropped rather than shipped, and other
+// in-flight batches are untouched. When the last lane is gone, queued
+// work fails structurally instead of waiting forever.
 //
 // Backpressure rule: batch submission blocks while the queue holds
 // fleet_config::max_pending_spans jobs; requeues BYPASS the bound — a
@@ -39,7 +40,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <future>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -48,8 +49,8 @@
 #include <vector>
 
 #include "exec/executor.h"
-#include "exec/remote_backend.h"
-#include "exec/sharded_backend.h"
+#include "exec/schedule.h"
+#include "exec/transport.h"
 
 namespace quorum::exec {
 
@@ -122,8 +123,15 @@ public:
     /// util::contract_error (citing the last lane failure) on timeout.
     void wait_for_lanes(std::size_t lanes, int timeout_ms) const;
 
+    /// Blocks until no lane is connecting: every lane added so far has
+    /// finished its handshake or been abandoned. Throws
+    /// util::contract_error (no live workers, citing the last lane
+    /// failure) when none of them is live.
+    void wait_for_handshakes() const;
+
     /// Runs one planned batch: queues every span (blocking on the
-    /// backpressure bound), waits for the replies, and reassembles them
+    /// backpressure bound), waits until each span is done or dropped,
+    /// and rethrows the batch's first failure. Lanes decode the replies
     /// sample-major into `out` (`values_per_sample` doubles per sample —
     /// 1 for run_batch shape, the level count for level families).
     /// Thread-safe; any number of batches may be in flight at once.
@@ -136,16 +144,18 @@ public:
     }
 
 private:
-    /// One batch's shared state: the request payloads (jobs reference
-    /// them by index, so they must outlive any abandoned batch) and one
-    /// promise per span.
+    /// One batch in flight. It lives in run_spans' frame, which returns
+    /// only once `outstanding` is back to zero, so jobs may point at it.
     struct batch_state {
         std::vector<std::vector<std::uint8_t>> requests;
-        std::vector<std::promise<std::vector<std::uint8_t>>> promises;
+        std::span<double> out;
+        std::size_t values_per_sample = 1;
+        std::size_t outstanding = 0; ///< queued or running spans (mutex_)
+        std::exception_ptr failure;  ///< first failure (mutex_)
     };
 
     struct span_job {
-        std::shared_ptr<batch_state> batch;
+        batch_state* batch = nullptr;
         std::size_t index = 0;
         shard_work span{};
         int attempts = 0;
@@ -161,12 +171,19 @@ private:
         bool live = false;         ///< handshake done (guarded by mutex_)
     };
 
+    void start_lane(std::string label, transport_factory factory,
+                    std::unique_ptr<wire_transport> adopted);
     void lane_main(lane_state& lane);
     /// Serves jobs on a connected transport. Returns true when the fleet
     /// is stopping (clean exit), false when the transport died.
     bool serve_on(lane_state& lane, wire_transport& transport);
     void handle_lane_death(const lane_state& lane, span_job job,
                            const std::string& why);
+    /// Retires one job of a batch (locked). The batch's first failure
+    /// drops its still-queued jobs; the last retired job wakes run_spans.
+    void finish_locked(const span_job& job, std::exception_ptr failure);
+    /// Fails every queued job (locked), e.g. when no lane is left.
+    void fail_queue_locked(const std::string& why);
     /// Called (locked) whenever a lane leaves the live/pending set: once
     /// nobody is left to serve, fails all queued jobs structurally.
     void note_lane_gone_locked();
@@ -182,6 +199,7 @@ private:
     mutable std::condition_variable queue_cv_; ///< lanes: work available
     mutable std::condition_variable space_cv_; ///< producers: room in queue
     mutable std::condition_variable lanes_cv_; ///< watchers: lane counts
+    mutable std::condition_variable done_cv_;  ///< run_spans: batch done
     std::deque<span_job> queue_;
     std::vector<std::unique_ptr<lane_state>> lanes_;
     std::size_t live_lanes_ = 0;
@@ -191,19 +209,21 @@ private:
     std::string last_lane_error_;
 };
 
-/// Executor adapter: scoring through a shared fleet. Construction
-/// instantiates a local probe of the inner backend (config validation +
-/// single-circuit runs); batches are planned with the configured span
-/// planner (fleet_config::engine.schedule) over the CURRENT lane count —
-/// scores are fleet-size- and schedule-invariant, so a fleet that grew
-/// or shrank between batches changes nothing but the split — and shipped
-/// through worker_fleet::run_spans, whose bounded job queue the lanes
-/// already PULL from, multiplexing concurrent callers. quorum_serve
-/// registers one of these per request via exec::register_backend, all
-/// sharing one fleet.
+/// Executor adapter: scoring through a fleet. Construction instantiates a
+/// local probe of the inner backend (config validation + single-circuit
+/// runs); batches are planned with the configured span planner
+/// (fleet_config::engine.schedule) and shipped through
+/// worker_fleet::run_spans, whose bounded job queue the lanes PULL from,
+/// multiplexing concurrent callers. The plan spans `planned_lanes`
+/// lanes, or the CURRENT live lane count when that is 0 — scores are
+/// fleet-size- and schedule-invariant, so a fleet that grew or shrank
+/// between batches changes nothing but the split. quorum_serve registers
+/// one of these per request via exec::register_backend, all sharing one
+/// fleet.
 class fleet_executor final : public executor {
 public:
-    explicit fleet_executor(std::shared_ptr<worker_fleet> fleet);
+    explicit fleet_executor(std::shared_ptr<worker_fleet> fleet,
+                            std::size_t planned_lanes = 0);
 
     [[nodiscard]] std::string_view name() const noexcept override {
         return spec_;
@@ -228,9 +248,14 @@ public:
                           std::span<double> out) const override;
 
 private:
-    [[nodiscard]] std::size_t plan_lanes() const;
+    /// Builds one request per planned span and runs them. `levels` == 0
+    /// ships `programs[0]` in run_batch shape; >= 1 the whole family.
+    void dispatch(std::span<const program> programs, std::size_t levels,
+                  std::span<const sample> samples,
+                  std::span<double> out) const;
 
     std::shared_ptr<worker_fleet> fleet_;
+    std::size_t planned_lanes_;
     std::string spec_;
     span_planner planner_;
     bool needs_rng_;

@@ -8,7 +8,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "exec/serialise.h"
 #include "util/contracts.h"
 
 namespace quorum::exec {
@@ -17,41 +16,6 @@ namespace {
 
 [[noreturn]] void throw_errno(const std::string& what) {
     throw transport_error(what + ": " + std::strerror(errno));
-}
-
-/// Sends the whole buffer; MSG_NOSIGNAL turns a dead peer into EPIPE
-/// instead of SIGPIPE (a library must never kill its host process).
-void send_all(int fd, const std::uint8_t* data, std::size_t size) {
-    std::size_t sent = 0;
-    while (sent < size) {
-        const ssize_t n =
-            ::send(fd, data + sent, size - sent, MSG_NOSIGNAL);
-        if (n < 0) {
-            if (errno == EINTR) {
-                continue;
-            }
-            throw_errno("worker transport send failed");
-        }
-        sent += static_cast<std::size_t>(n);
-    }
-}
-
-/// Reads exactly `size` bytes; EOF mid-message means the worker died.
-void recv_all(int fd, std::uint8_t* data, std::size_t size) {
-    std::size_t received = 0;
-    while (received < size) {
-        const ssize_t n = ::read(fd, data + received, size - received);
-        if (n < 0) {
-            if (errno == EINTR) {
-                continue;
-            }
-            throw_errno("worker transport read failed");
-        }
-        if (n == 0) {
-            throw transport_error("worker closed the connection");
-        }
-        received += static_cast<std::size_t>(n);
-    }
 }
 
 } // namespace
@@ -94,6 +58,7 @@ process_transport::process_transport(const std::string& binary) {
     ::close(sv[1]);
     fd_ = sv[0];
     pid_ = pid;
+    peer_ = binary + " (pid " + std::to_string(pid) + ")";
 }
 
 process_transport::~process_transport() {
@@ -109,30 +74,11 @@ process_transport::~process_transport() {
 }
 
 void process_transport::send_message(std::span<const std::uint8_t> payload) {
-    QUORUM_EXPECTS_MSG(payload.size() <= wire::max_message_bytes,
-                       "wire: message exceeds the frame size limit");
-    std::uint8_t header[4];
-    const auto size = static_cast<std::uint32_t>(payload.size());
-    for (int shift = 0; shift < 32; shift += 8) {
-        header[shift / 8] = static_cast<std::uint8_t>(size >> shift);
-    }
-    send_all(fd_, header, sizeof(header));
-    send_all(fd_, payload.data(), payload.size());
+    send_frame(fd_, payload, -1, peer_);
 }
 
 std::vector<std::uint8_t> process_transport::recv_message() {
-    std::uint8_t header[4];
-    recv_all(fd_, header, sizeof(header));
-    std::uint32_t size = 0;
-    for (int shift = 0; shift < 32; shift += 8) {
-        size |= static_cast<std::uint32_t>(header[shift / 8]) << shift;
-    }
-    if (size > wire::max_message_bytes) {
-        throw transport_error("worker sent an oversized frame");
-    }
-    std::vector<std::uint8_t> payload(size);
-    recv_all(fd_, payload.data(), payload.size());
-    return payload;
+    return recv_frame(fd_, -1, peer_);
 }
 
 std::string default_worker_binary() {

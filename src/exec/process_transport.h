@@ -1,15 +1,13 @@
 // Subprocess transport for the remote execution backend: spawns one
 // quorum_worker per lane over a Unix socketpair wired to the worker's
-// stdin/stdout, and frames wire messages as u32-little-endian length +
-// payload. This is the narrowest possible process transport — the
-// wire_transport interface it implements is what a TCP transport would
-// plug into later.
+// stdin/stdout, with the same framing as the TCP transport
+// (send_frame/recv_frame in exec/transport.h).
 #ifndef QUORUM_EXEC_PROCESS_TRANSPORT_H
 #define QUORUM_EXEC_PROCESS_TRANSPORT_H
 
 #include <string>
 
-#include "exec/remote_backend.h"
+#include "exec/transport.h"
 
 namespace quorum::exec {
 
@@ -33,6 +31,7 @@ public:
 private:
     int fd_ = -1;
     long pid_ = -1;
+    std::string peer_; ///< names the worker in transport errors
 };
 
 /// Resolves the worker binary: $QUORUM_WORKER when set, else a

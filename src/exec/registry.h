@@ -39,6 +39,13 @@ struct backend_spec {
 /// NOT check registration — make_executor does.
 [[nodiscard]] backend_spec parse_backend_spec(std::string_view spec);
 
+/// True when `name` can be the engine a wrapper runs on its lanes: one
+/// non-empty registered-style name that is not itself a wrapper
+/// ("remote", "sharded", the serve daemon's "fleet") and has no ':'.
+/// The one nesting rule for composite specs, remote/fleet coordinators
+/// and the worker's handshake.
+[[nodiscard]] bool is_plain_backend_name(std::string_view name);
+
 /// True when `spec` is well-formed and every name in it is registered.
 [[nodiscard]] bool is_backend_registered(std::string_view spec);
 

@@ -1,15 +1,10 @@
 #include "exec/remote_backend.h"
 
-#include <algorithm>
-#include <optional>
-#include <thread>
 #include <utility>
 
 #include "exec/process_transport.h"
 #include "exec/registry.h"
-#include "exec/serialise.h"
 #include "util/contracts.h"
-#include "util/thread_pool.h"
 
 namespace quorum::exec {
 
@@ -21,129 +16,13 @@ namespace {
 /// — i.e. at config-validation time — not inside a worker.
 std::unique_ptr<executor> make_probe(const engine_config& config,
                                      const std::string& inner) {
-    QUORUM_EXPECTS_MSG(!inner.empty() && inner != "remote" &&
-                           inner != "sharded" &&
-                           inner.find(':') == std::string::npos,
+    QUORUM_EXPECTS_MSG(is_plain_backend_name(inner),
                        "the remote backend wraps one plain inner backend "
                        "name (no nesting)");
     return make_executor(inner, config);
 }
 
 } // namespace
-
-// --- worker_session ---------------------------------------------------------
-
-std::vector<std::uint8_t>
-worker_session::handle(std::span<const std::uint8_t> request) {
-    try {
-        wire::reader in(request);
-        const std::uint8_t type = in.u8();
-        switch (static_cast<wire::message>(type)) {
-        case wire::message::hello: {
-            const std::uint32_t magic = in.u32();
-            const std::uint32_t version = in.u32();
-            QUORUM_EXPECTS_MSG(magic == wire::protocol_magic,
-                               "wire: bad protocol magic in hello");
-            QUORUM_EXPECTS_MSG(
-                version == wire::protocol_version,
-                "wire: protocol version mismatch (worker speaks " +
-                    std::to_string(wire::protocol_version) +
-                    ", client sent " + std::to_string(version) + ")");
-            const std::string inner = in.str();
-            const engine_config config = wire::decode_engine_config(in);
-            in.expect_done();
-            // Same rule as the client-side probe: a worker engine is one
-            // PLAIN backend. In particular "remote"/"sharded" must fail
-            // here — a corrupted hello must never make a worker spawn
-            // grandchild workers or an all-cores shard pool.
-            QUORUM_EXPECTS_MSG(!inner.empty() && inner != "remote" &&
-                                   inner != "sharded" &&
-                                   inner.find(':') == std::string::npos,
-                               "wire: worker engines are plain backend "
-                               "names");
-            engine_ = make_executor(inner, config);
-            cached_block_.clear();
-            cached_programs_.clear();
-            wire::writer out;
-            out.u8(static_cast<std::uint8_t>(wire::message::hello_ack));
-            out.u32(wire::protocol_magic);
-            out.u32(wire::protocol_version);
-            return out.take();
-        }
-        case wire::message::run_span:
-        case wire::message::run_levels_span: {
-            QUORUM_EXPECTS_MSG(engine_ != nullptr,
-                               "wire: run request before hello");
-            const bool multi_level =
-                type ==
-                static_cast<std::uint8_t>(wire::message::run_levels_span);
-            const shard_work span = wire::decode_shard_work(in);
-            const std::uint32_t block_len = in.u32();
-            const std::span<const std::uint8_t> block = in.raw(block_len);
-            // Cache key: request shape byte + the raw block. Compared in
-            // place — consecutive spans of one batch carry byte-identical
-            // blocks, so the recompile (and any copy) is paid once per
-            // batch.
-            const bool cache_hit =
-                cached_block_.size() == std::size_t{block_len} + 1 &&
-                cached_block_[0] == type &&
-                std::equal(block.begin(), block.end(),
-                           cached_block_.begin() + 1);
-            if (!cache_hit) {
-                wire::reader block_in(block);
-                std::vector<program> programs;
-                if (multi_level) {
-                    const std::uint32_t levels = block_in.u32();
-                    QUORUM_EXPECTS_MSG(levels >= 1,
-                                       "wire: a level family needs at "
-                                       "least one program");
-                    block_in.expect_available(levels, 1);
-                    programs.reserve(levels);
-                    for (std::uint32_t k = 0; k < levels; ++k) {
-                        programs.push_back(wire::decode_program(block_in));
-                    }
-                } else {
-                    programs.push_back(wire::decode_program(block_in));
-                }
-                block_in.expect_done();
-                cached_programs_ = std::move(programs);
-                cached_block_.assign(1, type);
-                cached_block_.insert(cached_block_.end(), block.begin(),
-                                     block.end());
-            }
-            const std::size_t levels =
-                multi_level ? cached_programs_.size() : 0;
-            wire::sample_block samples = wire::decode_samples(in, levels);
-            in.expect_done();
-            QUORUM_EXPECTS_MSG(samples.samples.size() == span.count,
-                               "wire: sample count does not match the "
-                               "span");
-            std::vector<double> out_values(
-                span.count * (multi_level ? levels : 1));
-            if (multi_level) {
-                engine_->run_batch_levels(cached_programs_, samples.samples,
-                                          out_values);
-            } else if (!out_values.empty()) {
-                engine_->run_batch(cached_programs_[0], samples.samples,
-                                   out_values);
-            }
-            return wire::encode_result_reply(out_values);
-        }
-        case wire::message::shutdown: {
-            in.expect_done();
-            shutdown_ = true;
-            return {};
-        }
-        default:
-            throw util::contract_error(
-                "wire: unexpected message type " + std::to_string(type));
-        }
-    } catch (const std::exception& error) {
-        return wire::encode_error_reply(error.what());
-    }
-}
-
-// --- remote_backend ---------------------------------------------------------
 
 remote_backend::remote_backend(const engine_config& config,
                                const std::string& inner)
@@ -152,302 +31,51 @@ remote_backend::remote_backend(const engine_config& config,
 remote_backend::remote_backend(const engine_config& config,
                                const std::string& inner,
                                transport_factory factory)
-    : config_(config),
-      inner_(inner),
-      spec_("remote:" + inner),
+    : spec_("remote:" + inner),
       workers_(resolve_lane_count(config.shards, max_workers)),
-      planner_(config.schedule),
-      needs_rng_(config.sampling_mode != sampling::exact),
       factory_(std::move(factory)),
       probe_(make_probe(config, inner)) {
     QUORUM_EXPECTS_MSG(static_cast<bool>(factory_),
                        "remote backend needs a transport factory");
+    fleet_.inner = inner;
+    fleet_.engine = config;
+    // A dead worker is respawned once before its lane gives up.
+    fleet_.rejoin_attempts = 1;
+    fleet_.rejoin_delay_ms = 0;
 }
 
-remote_backend::~remote_backend() {
-    // Best-effort clean shutdown; transports also terminate their worker
-    // on destruction (EOF), so failures here are ignorable.
-    const std::vector<std::uint8_t> out = wire::encode_shutdown();
-    for (const std::unique_ptr<wire_transport>& lane : lanes_) {
-        if (lane == nullptr) {
-            continue;
+const fleet_executor& remote_backend::engine() const {
+    std::call_once(built_, [this] {
+        auto fleet = std::make_shared<worker_fleet>(fleet_);
+        for (std::size_t k = 0; k < workers_; ++k) {
+            fleet->add_factory_lane(factory_, "remote #" + std::to_string(k));
         }
-        try {
-            lane->send_message(out);
-        } catch (...) { // NOLINT(bugprone-empty-catch)
-        }
-    }
-}
-
-wire_transport& remote_backend::lane(std::size_t index) const {
-    if (lanes_.size() < workers_) {
-        lanes_.resize(workers_);
-    }
-    if (lanes_[index] == nullptr) {
-        std::unique_ptr<wire_transport> transport = factory_(index);
-        QUORUM_EXPECTS_MSG(transport != nullptr,
-                           "transport factory returned null");
-        transport->send_message(wire::encode_hello(inner_, config_));
-        wire::check_hello_ack(transport->recv_message(),
-                              "remote worker " + std::to_string(index));
-        lanes_[index] = std::move(transport);
-    }
-    return *lanes_[index];
-}
-
-void remote_backend::restart_lane(std::size_t index) const {
-    if (index < lanes_.size()) {
-        lanes_[index].reset();
-    }
-}
-
-void remote_backend::fail_span(std::size_t index, const shard_work& span,
-                               const std::string& why) {
-    throw util::contract_error(
-        "remote worker " + std::to_string(index) + " (samples [" +
-        std::to_string(span.first) + ", " +
-        std::to_string(span.first + span.count) + ")) failed: " + why);
-}
-
-std::vector<std::uint8_t>
-remote_backend::exchange(std::size_t index, const shard_work& span,
-                         std::span<const std::uint8_t> request) const {
-    // THE span's one requeue: the caller observed the worker die (during
-    // send or while awaiting the reply) and restarted the lane; this
-    // second-and-last attempt runs on the fresh worker. Worker death is
-    // retryable because spans are idempotent (same plan, same snapshots,
-    // same bits), but a second death means the failure is persistent and
-    // must surface — so dispatch never calls this more than once per
-    // span.
-    try {
-        wire_transport& transport = lane(index);
-        transport.send_message(request);
-        return transport.recv_message();
-    } catch (const transport_error& error) {
-        restart_lane(index);
-        fail_span(index, span,
-                  std::string("worker died (restart exhausted): ") +
-                      error.what());
-    }
-}
-
-void remote_backend::dispatch(
-    std::span<const shard_work> plan,
-    const std::vector<std::vector<std::uint8_t>>& requests,
-    std::size_t values_per_sample, std::span<double> out) const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const bool dynamic =
-        config_.schedule.policy == schedule_policy::dynamic_spans;
-    try {
-        if (dynamic) {
-            dispatch_locked_dynamic(plan, requests, values_per_sample,
-                                    out);
-        } else {
-            dispatch_locked(plan, requests, values_per_sample, out);
-        }
-    } catch (...) {
-        // A failed span aborts the batch while sibling lanes may still
-        // hold unread replies; reusing those lanes would deliver THIS
-        // batch's values into the next one. Reset every lane the batch
-        // touched so a later batch starts from a clean handshake. (The
-        // static plan maps span k to lane k; the dynamic path may have
-        // used any lane, so it resets all of them.)
-        if (dynamic) {
-            for (std::size_t i = 0; i < lanes_.size(); ++i) {
-                restart_lane(i);
-            }
-        } else {
-            for (const shard_work& span : plan) {
-                restart_lane(span.shard);
-            }
-        }
-        throw;
-    }
-}
-
-void remote_backend::decode_reply(std::size_t index, const shard_work& span,
-                                  std::span<const std::uint8_t> reply,
-                                  std::size_t values_per_sample,
-                                  std::span<double> out) const {
-    if (reply.empty()) {
-        fail_span(index, span, "empty reply");
-    }
-    wire::reader in(reply);
-    const std::uint8_t type = in.u8();
-    if (type == static_cast<std::uint8_t>(wire::message::error)) {
-        std::string message = "malformed error reply";
-        try {
-            message = in.str();
-        } catch (const util::contract_error&) {
-        }
-        fail_span(index, span, message);
-    }
-    if (type != static_cast<std::uint8_t>(wire::message::result)) {
-        fail_span(index, span,
-                  "unexpected reply type " + std::to_string(type));
-    }
-    // Malformed result payloads are protocol corruption, not
-    // transience: no retry, surface the worker and span.
-    try {
-        const std::uint64_t count = in.u64();
-        QUORUM_EXPECTS_MSG(count == span.count * values_per_sample,
-                           "result count does not match the span");
-        in.expect_available(count, 8);
-        double* slot = out.data() + span.first * values_per_sample;
-        for (std::uint64_t i = 0; i < count; ++i) {
-            slot[i] = in.f64();
-        }
-        in.expect_done();
-    } catch (const util::contract_error& error) {
-        fail_span(index, span,
-                  std::string("malformed reply: ") + error.what());
-    }
-}
-
-void remote_backend::dispatch_locked(
-    std::span<const shard_work> plan,
-    const std::vector<std::vector<std::uint8_t>>& requests,
-    std::size_t values_per_sample, std::span<double> out) const {
-    // Phase 1: ship every span before reading any reply, so all workers
-    // compute concurrently. A lane that dies while sending is restarted
-    // and its span requeued once (exchange applies the same policy to
-    // the receive side).
-    std::vector<bool> sent(plan.size(), false);
-    for (std::size_t k = 0; k < plan.size(); ++k) {
-        try {
-            lane(plan[k].shard).send_message(requests[k]);
-            sent[k] = true;
-        } catch (const transport_error&) {
-            restart_lane(plan[k].shard);
-        }
-    }
-    // Phase 2: collect in span order and reassemble sample-major output.
-    for (std::size_t k = 0; k < plan.size(); ++k) {
-        const shard_work& span = plan[k];
-        std::vector<std::uint8_t> reply;
-        if (sent[k]) {
-            try {
-                reply = lane(span.shard).recv_message();
-            } catch (const transport_error&) {
-                restart_lane(span.shard);
-                reply = exchange(span.shard, span, requests[k]);
-            }
-        } else {
-            reply = exchange(span.shard, span, requests[k]);
-        }
-        decode_reply(span.shard, span, reply, values_per_sample, out);
-    }
-}
-
-void remote_backend::dispatch_locked_dynamic(
-    std::span<const shard_work> plan,
-    const std::vector<std::vector<std::uint8_t>>& requests,
-    std::size_t values_per_sample, std::span<double> out) const {
-    // Per-lane pull loop: min(workers, spans) lanes each own one
-    // transport and claim span indices from the shared queue until the
-    // plan drains. A fast lane simply pulls more spans — that is the
-    // whole skew-absorption mechanism. Each span writes a disjoint
-    // output slice at span.first, so completion order cannot change a
-    // bit of the result.
-    const std::size_t lane_count = std::min(workers_, plan.size());
-    if (lane_count == 0) {
-        return;
-    }
-    // Pre-size the lane table: lane threads only ever touch their own
-    // slot after this, so the lazy connect in lane() stays race-free.
-    if (lanes_.size() < workers_) {
-        lanes_.resize(workers_);
-    }
-    span_queue queue(plan.size());
-    std::mutex failure_mutex;
-    std::exception_ptr failure;
-    const auto pull_loop = [&](std::size_t lane_index) noexcept {
-        while (const std::optional<std::size_t> k = queue.pull()) {
-            const shard_work& span = plan[*k];
-            try {
-                std::vector<std::uint8_t> reply;
-                try {
-                    wire_transport& transport = lane(lane_index);
-                    transport.send_message(requests[*k]);
-                    reply = transport.recv_message();
-                } catch (const transport_error&) {
-                    restart_lane(lane_index);
-                    reply = exchange(lane_index, span, requests[*k]);
-                }
-                decode_reply(lane_index, span, reply, values_per_sample,
-                             out);
-            } catch (...) {
-                // First failure wins; closing the queue lets sibling
-                // lanes drain out instead of shipping more doomed work.
-                const std::lock_guard<std::mutex> lock(failure_mutex);
-                if (failure == nullptr) {
-                    failure = std::current_exception();
-                }
-                queue.close();
-            }
-        }
-    };
-    std::vector<std::thread> lane_threads;
-    lane_threads.reserve(lane_count - 1);
-    for (std::size_t i = 1; i < lane_count; ++i) {
-        lane_threads.emplace_back(pull_loop, i);
-    }
-    pull_loop(0);
-    for (std::thread& thread : lane_threads) {
-        thread.join();
-    }
-    if (failure != nullptr) {
-        std::rethrow_exception(failure);
-    }
+        fleet->wait_for_handshakes();
+        engine_ = std::make_unique<fleet_executor>(std::move(fleet), workers_);
+    });
+    return *engine_;
 }
 
 void remote_backend::run_batch(const program& prog,
                                std::span<const sample> samples,
                                std::span<double> out) const {
-    validate_batch(prog, samples, out, needs_rng_);
     if (samples.empty()) {
+        validate_batch(prog, samples, out,
+                       fleet_.engine.sampling_mode != sampling::exact);
         return;
     }
-    wire::writer block;
-    wire::encode_program(block, prog);
-    const std::vector<std::uint8_t> blob = block.take();
-    const std::vector<shard_work> plan =
-        planner_.plan(samples.size(), workers_, &prog);
-    std::vector<std::vector<std::uint8_t>> requests;
-    requests.reserve(plan.size());
-    for (const shard_work& span : plan) {
-        requests.push_back(wire::encode_span_request(
-            span, blob, samples.subspan(span.first, span.count), 0,
-            needs_rng_));
-    }
-    dispatch(plan, requests, 1, out);
+    engine().run_batch(prog, samples, out);
 }
 
 void remote_backend::run_batch_levels(std::span<const program> levels,
                                       std::span<const sample> samples,
                                       std::span<double> out) const {
-    validate_level_batch(levels, samples, out, needs_rng_);
     if (samples.empty()) {
+        validate_level_batch(levels, samples, out,
+                             fleet_.engine.sampling_mode != sampling::exact);
         return;
     }
-    wire::writer block;
-    block.u32(static_cast<std::uint32_t>(levels.size()));
-    for (const program& level : levels) {
-        wire::encode_program(block, level);
-    }
-    const std::vector<std::uint8_t> blob = block.take();
-    // Keyed by sample index only, exactly like the in-process sharded
-    // plan, so fused evaluation composes with worker-count invariance.
-    const std::vector<shard_work> plan =
-        planner_.plan(samples.size(), workers_, nullptr);
-    std::vector<std::vector<std::uint8_t>> requests;
-    requests.reserve(plan.size());
-    for (const shard_work& span : plan) {
-        requests.push_back(wire::encode_span_request(
-            span, blob, samples.subspan(span.first, span.count),
-            levels.size(), needs_rng_));
-    }
-    dispatch(plan, requests, levels.size(), out);
+    engine().run_batch_levels(levels, samples, out);
 }
 
 } // namespace quorum::exec

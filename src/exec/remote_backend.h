@@ -1,8 +1,12 @@
-// Remote sharded execution backend: partitions every batch with the SAME
-// deterministic planner the in-process sharded backend uses
-// (exec/schedule.h, keyed by sample index only), but evaluates each span
-// in a quorum_worker process that speaks the binary wire protocol
-// (exec/serialise.h) over a pluggable message transport.
+// Remote sharded execution backend: `remote:<inner>` evaluates every
+// batch in quorum_worker processes that speak the binary wire protocol
+// (exec/serialise.h) over a pluggable message transport
+// (exec/transport.h). It is a thin executor over a PRIVATE worker fleet
+// (exec/fleet.h) of worker_count() factory lanes: batches are planned
+// with the same deterministic span planner the in-process sharded backend
+// uses (exec/schedule.h, keyed by sample index only) over the configured
+// worker count, and shipped through the fleet's pull queue. Concurrent
+// callers share the lanes; nothing serialises them.
 //
 // Determinism: the plan, the per-sample rng stream snapshots and the
 // IEEE-754 bit patterns of every double all travel verbatim, and the
@@ -11,94 +15,25 @@
 // mode, exactly like the in-process sharded engine (enforced by
 // tests/exec/test_remote_backend.cpp and the golden fixtures).
 //
-// Fault handling: a worker that dies mid-span (transport_error) is
-// restarted through the transport factory and its span is requeued ONCE;
-// a second death, a malformed reply, or a protocol version mismatch
-// surfaces as a structured util::contract_error naming the worker and its
-// sample span. Worker-side failures (engine contract violations, decode
-// errors) come back as error messages and are rethrown the same way.
+// Fault handling is the fleet's: a worker that dies mid-span
+// (transport_error) is respawned through the transport factory and its
+// span is requeued ONCE to any live lane; a second death, an error or
+// malformed reply, or a protocol version mismatch surfaces as a
+// structured util::contract_error naming the lane ("remote #<k>") and,
+// for span failures, its sample span.
 #ifndef QUORUM_EXEC_REMOTE_BACKEND_H
 #define QUORUM_EXEC_REMOTE_BACKEND_H
 
-#include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
-#include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "exec/executor.h"
-#include "exec/schedule.h"
+#include "exec/fleet.h"
+#include "exec/transport.h"
 
 namespace quorum::exec {
-
-/// Thrown by transports when the peer is gone (process death, closed
-/// pipe, spawn failure). Distinct from util::contract_error so the remote
-/// backend can classify it as retryable — restart the worker, requeue the
-/// span — instead of a protocol/programming error.
-class transport_error : public std::runtime_error {
-public:
-    explicit transport_error(const std::string& what_arg)
-        : std::runtime_error(what_arg) {}
-};
-
-/// One bidirectional message channel to a worker. Messages are the wire
-/// payloads of exec/serialise.h; framing (length prefixes, fds, sockets)
-/// is the transport's business. Implementations throw transport_error
-/// when the peer is unreachable.
-class wire_transport {
-public:
-    virtual ~wire_transport() = default;
-
-    wire_transport(const wire_transport&) = delete;
-    wire_transport& operator=(const wire_transport&) = delete;
-
-    virtual void send_message(std::span<const std::uint8_t> payload) = 0;
-    [[nodiscard]] virtual std::vector<std::uint8_t> recv_message() = 0;
-
-protected:
-    wire_transport() = default;
-};
-
-/// Creates the transport for worker `index` — called once per worker at
-/// first use and again after a worker death (restart). The default
-/// factory spawns quorum_worker subprocesses (exec/process_transport.h);
-/// tests substitute in-process loopback and fault-injecting transports.
-using transport_factory =
-    std::function<std::unique_ptr<wire_transport>(std::size_t index)>;
-
-/// The worker side of the protocol, transport-agnostic: feed one request
-/// payload, get the reply payload. The quorum_worker binary wraps this in
-/// a stdin/stdout frame loop; in-process loopback transports call it
-/// directly, which is what lets the test suite drive every protocol path
-/// (including fault injection) without spawning processes.
-class worker_session {
-public:
-    worker_session() = default;
-
-    /// Handles one request and returns the reply payload (result, error,
-    /// or hello_ack). Never throws for malformed/failed requests — those
-    /// become error replies — so one bad span cannot kill a worker that
-    /// other spans are queued on. The reply to `shutdown` is empty and
-    /// shutdown_requested() flips to true.
-    [[nodiscard]] std::vector<std::uint8_t>
-    handle(std::span<const std::uint8_t> request);
-
-    [[nodiscard]] bool shutdown_requested() const noexcept {
-        return shutdown_;
-    }
-
-private:
-    std::unique_ptr<executor> engine_;
-    bool shutdown_ = false;
-    /// Decode cache: consecutive spans of one batch carry byte-identical
-    /// program blocks, so the recompile is paid once per batch, not once
-    /// per span.
-    std::vector<std::uint8_t> cached_block_;
-    std::vector<program> cached_programs_;
-};
 
 class remote_backend final : public executor {
 public:
@@ -111,15 +46,13 @@ public:
     /// hardware thread, clamped to max_workers); `inner` is the plain
     /// backend name each worker runs. Construction is process-free: it
     /// only instantiates a local probe of the inner backend (which
-    /// validates the name/mode combination); workers start lazily at the
-    /// first batch.
+    /// validates the name/mode combination); the fleet and its workers
+    /// start at the first non-empty batch.
     remote_backend(const engine_config& config, const std::string& inner);
 
     /// Same, with an explicit transport factory (tests).
     remote_backend(const engine_config& config, const std::string& inner,
                    transport_factory factory);
-
-    ~remote_backend() override;
 
     [[nodiscard]] std::string_view name() const noexcept override {
         return spec_;
@@ -144,11 +77,8 @@ public:
     }
 
     /// Plans with the configured span planner (config.schedule: one
-    /// balanced span per worker, or many grain-sized spans the worker
-    /// lanes pull concurrently — all keyed by sample index only), ships
-    /// every span, and reassembles the replies into `out`. One batch is
-    /// in flight per engine at a time (concurrent callers serialise on
-    /// an internal mutex).
+    /// balanced span per worker, or many grain-sized spans) over
+    /// worker_count() lanes and runs the spans on the private fleet.
     void run_batch(const program& prog, std::span<const sample> samples,
                    std::span<double> out) const override;
 
@@ -164,59 +94,19 @@ public:
     }
 
 private:
-    [[nodiscard]] wire_transport& lane(std::size_t index) const;
-    void restart_lane(std::size_t index) const;
-    /// The span's single requeue attempt after an observed worker death:
-    /// runs the request on a freshly restarted lane; a second death
-    /// fails the span (structured contract_error). Called at most once
-    /// per span per batch, which is what makes "restarted and requeued
-    /// ONCE" literally true.
-    [[nodiscard]] std::vector<std::uint8_t>
-    exchange(std::size_t index, const shard_work& span,
-             std::span<const std::uint8_t> request) const;
-    /// Runs the plan under the pool mutex; on ANY failure every lane the
-    /// plan touched is reset, so a lane left with an unread reply can
-    /// never leak this batch's values into the next one.
-    void dispatch(std::span<const shard_work> plan,
-                  const std::vector<std::vector<std::uint8_t>>& requests,
-                  std::size_t values_per_sample,
-                  std::span<double> out) const;
-    void
-    dispatch_locked(std::span<const shard_work> plan,
-                    const std::vector<std::vector<std::uint8_t>>& requests,
-                    std::size_t values_per_sample,
-                    std::span<double> out) const;
-    /// Dynamic-schedule dispatch: min(workers, spans) lane threads PULL
-    /// span indices from a shared span_queue, each lane pinned to its
-    /// own transport. Output placement stays keyed by shard_work.first,
-    /// so results are IEEE == to the static path for any pull order.
-    void dispatch_locked_dynamic(
-        std::span<const shard_work> plan,
-        const std::vector<std::vector<std::uint8_t>>& requests,
-        std::size_t values_per_sample, std::span<double> out) const;
-    /// Validates one result reply and writes its span's slice into
-    /// `out`; error replies and malformed payloads fail the span
-    /// structurally (no retry). Shared by both dispatch paths.
-    void decode_reply(std::size_t index, const shard_work& span,
-                      std::span<const std::uint8_t> reply,
-                      std::size_t values_per_sample,
-                      std::span<double> out) const;
-    [[noreturn]] static void fail_span(std::size_t index,
-                                       const shard_work& span,
-                                       const std::string& why);
+    /// The fleet-backed engine, built on first use: worker_count()
+    /// factory lanes, all handshaken before the first span ships. A
+    /// build that finds no live worker throws and is retried by the
+    /// next batch.
+    [[nodiscard]] const fleet_executor& engine() const;
 
-    engine_config config_;
-    std::string inner_;
+    fleet_config fleet_; ///< the private fleet's configuration
     std::string spec_;
     std::size_t workers_;
-    span_planner planner_;
-    bool needs_rng_;
     transport_factory factory_;
     std::unique_ptr<executor> probe_;
-    /// One batch in flight at a time: workers hold per-connection state
-    /// (handshake, program cache), so the lane pool is serialised.
-    mutable std::mutex mutex_;
-    mutable std::vector<std::unique_ptr<wire_transport>> lanes_;
+    mutable std::once_flag built_;
+    mutable std::unique_ptr<fleet_executor> engine_;
 };
 
 } // namespace quorum::exec

@@ -1,8 +1,8 @@
 // Span planning and dispatch policy — the ONE place batches are cut into
-// per-lane work spans. The sharded backend (in-process threads), the
-// remote backend (worker processes) and the serving fleet all plan
-// through span_planner instead of carrying private copies of the
-// partitioning logic.
+// per-lane work spans. The sharded backend (in-process threads) and the
+// worker fleet (worker processes, for remote:<inner> and the serve
+// daemon) both plan through span_planner instead of carrying private
+// copies of the partitioning logic.
 //
 // Two policies:
 //
@@ -62,6 +62,12 @@ struct shard_work {
 [[nodiscard]] std::vector<shard_work>
 make_shard_plan(std::size_t n_samples, std::size_t shards,
                 const program* prog = nullptr, std::uint64_t seed = 0);
+
+/// "<who> (samples [first, end)) failed: <why>" — the one wording of a
+/// failed span, shared by the sharded backend and the worker fleet.
+[[nodiscard]] std::string span_failure(std::string_view who,
+                                       const shard_work& span,
+                                       std::string_view why);
 
 enum class schedule_policy {
     /// One balanced span per lane (make_shard_plan, bit-for-bit).
@@ -128,8 +134,7 @@ private:
 /// order with one atomic counter. Which LANE gets a span depends on
 /// timing; which SPANS exist and where their output lands does not —
 /// that is the whole determinism argument. (util::thread_pool::
-/// parallel_for uses the identical claim loop in-process; the remote
-/// backend's dynamic dispatch and tests use this one.)
+/// parallel_for uses the identical claim loop in-process.)
 class span_queue {
 public:
     explicit span_queue(std::size_t count) noexcept : count_(count) {}

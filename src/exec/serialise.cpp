@@ -538,6 +538,42 @@ encode_span_request(const shard_work& span,
     return request.take();
 }
 
+void decode_result_reply(std::span<const std::uint8_t> reply,
+                         std::span<double> out) {
+    if (reply.empty()) {
+        throw util::contract_error("empty reply");
+    }
+    reader in(reply);
+    const std::uint8_t type = in.u8();
+    if (type == static_cast<std::uint8_t>(message::error)) {
+        std::string text = "malformed error reply";
+        try {
+            text = in.str();
+        } catch (const util::contract_error&) {
+        }
+        throw util::contract_error(text);
+    }
+    if (type != static_cast<std::uint8_t>(message::result)) {
+        throw util::contract_error("unexpected reply type " +
+                                   std::to_string(type));
+    }
+    // A malformed result is protocol corruption, not transience: the
+    // caller fails the span without a retry.
+    try {
+        const std::uint64_t count = in.u64();
+        QUORUM_EXPECTS_MSG(count == out.size(),
+                           "result count does not match the span");
+        in.expect_available(count, 8);
+        for (double& value : out) {
+            value = in.f64();
+        }
+        in.expect_done();
+    } catch (const util::contract_error& error) {
+        throw util::contract_error(std::string("malformed reply: ") +
+                                   error.what());
+    }
+}
+
 std::vector<std::uint8_t> encode_error_reply(const std::string& text) {
     writer out;
     out.u8(static_cast<std::uint8_t>(message::error));

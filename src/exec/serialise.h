@@ -159,9 +159,9 @@ void encode_samples(writer& out, std::span<const sample> samples,
 
 // --- whole-message builders -------------------------------------------------
 //
-// Shared by every protocol participant (remote backend, worker fleet,
-// quorum_worker), so there is exactly one place each message's layout is
-// written down in code.
+// Shared by every protocol participant (worker fleet, quorum_worker), so
+// there is exactly one place each message's layout is written down in
+// code.
 
 /// A hello body: magic + version + the inner backend name + engine
 /// parameters the worker must instantiate.
@@ -183,6 +183,14 @@ encode_span_request(const shard_work& span,
                     std::span<const std::uint8_t> program_block,
                     std::span<const sample> span_samples, std::size_t levels,
                     bool with_rng);
+
+/// Decodes a worker's reply to a span request into `out`, which holds
+/// exactly the span's values. Throws util::contract_error carrying the
+/// worker's message for an error reply, and on an empty reply, any other
+/// message type, or a malformed or mis-sized result payload. Callers
+/// prefix the lane and span the reply belongs to.
+void decode_result_reply(std::span<const std::uint8_t> reply,
+                         std::span<double> out);
 
 [[nodiscard]] std::vector<std::uint8_t>
 encode_error_reply(const std::string& text);

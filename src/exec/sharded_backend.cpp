@@ -11,14 +11,34 @@ namespace quorum::exec {
 namespace {
 
 /// Validates and instantiates the wrapped backend: one plain registered
-/// name — "sharded" (or any spec with an inner of its own) cannot nest.
+/// name — a wrapper (or any spec with an inner of its own) cannot nest.
 std::unique_ptr<executor> make_inner(const engine_config& config,
                                      const std::string& inner) {
-    QUORUM_EXPECTS_MSG(!inner.empty() && inner != "sharded" &&
-                           inner.find(':') == std::string::npos,
+    QUORUM_EXPECTS_MSG(is_plain_backend_name(inner),
                        "the sharded backend wraps one plain inner backend "
                        "name (no nesting)");
     return make_executor(inner, config);
+}
+
+/// Runs every span of `plan` on the pool. parallel_for's claim counter
+/// IS the dynamic pull queue: the pool workers and the caller claim span
+/// indices in plan order, so a dynamic plan with more spans than shards
+/// gets work-pulling dispatch with no extra machinery.
+template <class RunSpan>
+void fan_out(util::thread_pool& pool, std::span<const shard_work> plan,
+             const RunSpan& run_span) {
+    pool.parallel_for(plan.size(), [&](std::size_t k) {
+        try {
+            run_span(plan[k]);
+        } catch (const util::contract_error& error) {
+            // Label contract violations with the failing shard; any other
+            // exception type (bad_alloc, ...) propagates unchanged so
+            // callers can still classify it.
+            throw util::contract_error(
+                span_failure("shard " + std::to_string(plan[k].shard),
+                             plan[k], error.what()));
+        }
+    });
 }
 
 } // namespace
@@ -50,26 +70,10 @@ void sharded_backend::run_batch(const program& prog,
         inner_->run_batch(prog, samples, out);
         return;
     }
-    // parallel_for's claim counter IS the dynamic pull queue: shards_
-    // concurrent lanes (pool workers + the caller) claim span indices in
-    // plan order, so a dynamic plan with more spans than shards gets
-    // work-pulling dispatch with no extra machinery.
-    pool().parallel_for(plan.size(), [&](std::size_t k) {
-        const shard_work& work = plan[k];
-        try {
-            inner_->run_batch(*work.prog,
-                              samples.subspan(work.first, work.count),
-                              out.subspan(work.first, work.count));
-        } catch (const util::contract_error& error) {
-            // Label contract violations with the failing shard; any other
-            // exception type (bad_alloc, ...) propagates unchanged so
-            // callers can still classify it.
-            throw util::contract_error(
-                "shard " + std::to_string(work.shard) + " (samples [" +
-                std::to_string(work.first) + ", " +
-                std::to_string(work.first + work.count) +
-                ")) failed: " + error.what());
-        }
+    fan_out(pool(), plan, [&](const shard_work& work) {
+        inner_->run_batch(*work.prog,
+                          samples.subspan(work.first, work.count),
+                          out.subspan(work.first, work.count));
     });
 }
 
@@ -87,19 +91,10 @@ void sharded_backend::run_batch_levels(std::span<const program> levels,
         inner_->run_batch_levels(levels, samples, out);
         return;
     }
-    pool().parallel_for(plan.size(), [&](std::size_t k) {
-        const shard_work& work = plan[k];
-        try {
-            inner_->run_batch_levels(
-                levels, samples.subspan(work.first, work.count),
-                out.subspan(work.first * count, work.count * count));
-        } catch (const util::contract_error& error) {
-            throw util::contract_error(
-                "shard " + std::to_string(work.shard) + " (samples [" +
-                std::to_string(work.first) + ", " +
-                std::to_string(work.first + work.count) +
-                ")) failed: " + error.what());
-        }
+    fan_out(pool(), plan, [&](const shard_work& work) {
+        inner_->run_batch_levels(
+            levels, samples.subspan(work.first, work.count),
+            out.subspan(work.first * count, work.count * count));
     });
 }
 

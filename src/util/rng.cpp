@@ -5,6 +5,16 @@
 
 #include "util/contracts.h"
 
+// std::binomial_distribution (and data/bucketing.cpp) call lgamma, and
+// glibc's lgamma also stores the sign of Gamma(x) in the global
+// `signgam`: a data race once two threads draw binomials at once. This
+// definition replaces libm's in every program that links rng.o and
+// returns the same value through the reentrant lgamma_r.
+extern "C" double lgamma(double x) noexcept {
+    int sign = 0;
+    return ::lgamma_r(x, &sign);
+}
+
 namespace quorum::util {
 
 std::uint64_t derive_seed(std::uint64_t seed, std::uint64_t index) noexcept {

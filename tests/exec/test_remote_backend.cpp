@@ -1,14 +1,17 @@
 // Remote-backend property suite: worker-count invariance (remote scores
 // IEEE == to the plain inner backend for any worker count, in every
-// mode), registry/spec handling, and the fault model — worker death is
-// restarted + requeued once, persistent death / malformed replies /
-// version mismatches surface as structured contract_errors naming the
-// worker and its sample span.
+// mode), registry/spec handling, and the fleet fault model the backend
+// runs on — worker death is respawned + requeued once, persistent death /
+// malformed replies / version mismatches surface as structured
+// contract_errors naming the lane and, for span failures, its sample
+// span.
 //
 // Most tests drive the protocol through IN-PROCESS transports (a
 // loopback that feeds exec::worker_session directly, and fault-injecting
 // wrappers around it), so every path runs under the sanitizer job; a few
 // spawn REAL quorum_worker processes via the build-tree binary.
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
@@ -16,6 +19,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -118,7 +122,8 @@ private:
     std::deque<std::vector<std::uint8_t>> replies_;
 };
 
-exec::transport_factory loopback_factory(int* constructed = nullptr) {
+exec::transport_factory
+loopback_factory(std::atomic<int>* constructed = nullptr) {
     return [constructed](std::size_t) -> std::unique_ptr<exec::wire_transport> {
         if (constructed != nullptr) {
             ++*constructed;
@@ -255,15 +260,17 @@ TEST(RemoteBackend, LevelFamiliesMatchTheInnerBackendBitForBit) {
 
 /// Shared fault plan: which global recv call should throw (simulating
 /// the worker dying before its reply arrives), or whether replies should
-/// be replaced with garbage / a forged handshake.
+/// be replaced with garbage / a forged handshake. Lanes run on fleet
+/// threads, so the counters they bump are atomic.
 struct fault_plan {
-    int recv_calls = 0;
+    std::atomic<int> recv_calls{0};
     int die_on_recv_call = 0; ///< 1-based global recv index; 0 = never
     int garbage_on_recv_call = 0; ///< garble ONE reply by global index
     bool die_always = false;
+    bool die_on_span_replies = false; ///< handshakes still succeed
     bool forge_bad_version = false;
     bool garbage_replies = false;
-    int constructed = 0;
+    std::atomic<int> constructed{0};
 };
 
 class faulty_transport : public exec::wire_transport {
@@ -278,9 +285,8 @@ public:
     }
 
     [[nodiscard]] std::vector<std::uint8_t> recv_message() override {
-        ++plan_->recv_calls;
-        if (plan_->die_always ||
-            plan_->recv_calls == plan_->die_on_recv_call) {
+        const int call = ++plan_->recv_calls;
+        if (plan_->die_always || call == plan_->die_on_recv_call) {
             throw exec::transport_error("injected: worker died mid-span");
         }
         if (replies_.empty()) {
@@ -288,6 +294,13 @@ public:
         }
         std::vector<std::uint8_t> reply = std::move(replies_.front());
         replies_.pop_front();
+        const bool is_ack =
+            !reply.empty() &&
+            reply[0] ==
+                static_cast<std::uint8_t>(exec::wire::message::hello_ack);
+        if (plan_->die_on_span_replies && !is_ack) {
+            throw exec::transport_error("injected: worker died mid-span");
+        }
         if (plan_->forge_bad_version &&
             !reply.empty() &&
             reply[0] ==
@@ -300,10 +313,8 @@ public:
             return forged.take();
         }
         if ((plan_->garbage_replies ||
-             plan_->recv_calls == plan_->garbage_on_recv_call) &&
-            !reply.empty() &&
-            reply[0] !=
-                static_cast<std::uint8_t>(exec::wire::message::hello_ack)) {
+             call == plan_->garbage_on_recv_call) &&
+            !reply.empty() && !is_ack) {
             return {0x7C, 0xDE, 0xAD};
         }
         return reply;
@@ -330,9 +341,10 @@ TEST(RemoteBackend, WorkerDeathIsRestartedAndTheSpanRequeued) {
                     fixture.make_samples(), reference);
 
     fault_plan plan;
-    // Recv order per worker: hello_ack (1, 2) then span replies (3, 4).
-    // Kill the first span reply: worker 0 dies mid-span, is restarted
-    // (fresh handshake) and its span is requeued — scores unharmed.
+    // Both handshakes finish before the first span ships, so recv 1 and
+    // 2 are the hello_acks and 3 is the first span reply. Kill it: that
+    // worker dies mid-span, is respawned (fresh handshake) and its span
+    // is requeued — scores unharmed.
     plan.die_on_recv_call = 3;
     exec::engine_config config;
     config.shards = 2;
@@ -341,13 +353,51 @@ TEST(RemoteBackend, WorkerDeathIsRestartedAndTheSpanRequeued) {
     std::vector<double> out(fixture.amplitudes.size());
     engine.run_batch(analytic_program(fixture.params, 1),
                      fixture.make_samples(), out);
-    EXPECT_EQ(plan.constructed, 3); // 2 workers + 1 restart
     for (std::size_t i = 0; i < out.size(); ++i) {
         EXPECT_EQ(out[i], reference[i]) << i;
     }
+    // The dead lane respawns in the background (the requeued span may
+    // already have run on the other lane), so wait for the rejoin.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (plan.constructed.load() < 3 &&
+           std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_EQ(plan.constructed.load(), 3); // 2 workers + 1 restart
 }
 
 TEST(RemoteBackend, PersistentWorkerDeathIsAStructuredError) {
+    // Handshakes succeed but every span reply dies: each span is
+    // requeued once, its re-run dies again, and the batch fails naming
+    // the lane, the sample span and the used-up retry.
+    const batch_fixture fixture(73, 6);
+    fault_plan plan;
+    plan.die_on_span_replies = true;
+    exec::engine_config config;
+    config.shards = 2;
+    const exec::remote_backend engine(config, "statevector",
+                                      faulty_factory(&plan));
+    std::vector<double> out(fixture.amplitudes.size());
+    try {
+        engine.run_batch(analytic_program(fixture.params, 1),
+                         fixture.make_samples(), out);
+        FAIL() << "expected contract_error";
+    } catch (const util::contract_error& error) {
+        EXPECT_NE(std::strstr(error.what(), "fleet worker remote #"),
+                  nullptr)
+            << error.what();
+        EXPECT_NE(std::strstr(error.what(), "samples ["), nullptr)
+            << error.what();
+        EXPECT_NE(std::strstr(error.what(), "requeue exhausted"), nullptr)
+            << error.what();
+    }
+}
+
+TEST(RemoteBackend, WorkerThatNeverHandshakesIsALaneFailure) {
+    // Every send dies, so no lane ever completes its handshake: the
+    // lanes are abandoned after their one respawn and the batch fails
+    // before any span ships, naming the last lane that failed.
     const batch_fixture fixture(73, 6);
     fault_plan plan;
     plan.die_always = true;
@@ -361,13 +411,12 @@ TEST(RemoteBackend, PersistentWorkerDeathIsAStructuredError) {
                          fixture.make_samples(), out);
         FAIL() << "expected contract_error";
     } catch (const util::contract_error& error) {
-        EXPECT_NE(std::strstr(error.what(), "remote worker "), nullptr)
+        EXPECT_NE(std::strstr(error.what(), "no live workers"), nullptr)
             << error.what();
-        EXPECT_NE(std::strstr(error.what(), "samples ["), nullptr)
-            << error.what();
-        EXPECT_NE(std::strstr(error.what(), "restart exhausted"), nullptr)
+        EXPECT_NE(std::strstr(error.what(), "remote #"), nullptr)
             << error.what();
     }
+    EXPECT_EQ(plan.constructed.load(), 4); // 2 lanes x (spawn + respawn)
 }
 
 TEST(RemoteBackend, MalformedRepliesAreStructuredErrorsWithoutRetry) {
@@ -384,22 +433,24 @@ TEST(RemoteBackend, MalformedRepliesAreStructuredErrorsWithoutRetry) {
                          fixture.make_samples(), out);
         FAIL() << "expected contract_error";
     } catch (const util::contract_error& error) {
-        EXPECT_NE(std::strstr(error.what(), "remote worker 0"), nullptr)
+        EXPECT_NE(std::strstr(error.what(),
+                              "fleet worker remote #0 (samples [0, 6))"),
+                  nullptr)
             << error.what();
         EXPECT_NE(std::strstr(error.what(), "unexpected reply type"),
                   nullptr)
             << error.what();
     }
-    EXPECT_EQ(plan.constructed, 1); // protocol corruption: no restart
+    EXPECT_EQ(plan.constructed.load(), 1); // protocol corruption: no restart
 }
 
 TEST(RemoteBackend, FailedBatchCannotLeakStaleRepliesIntoTheNext) {
-    // With 2 workers, both spans are in flight when span 0's reply turns
-    // out garbled and the batch fails — worker 1's reply is still
-    // unread. The backend must reset the plan's lanes on failure, so a
-    // FOLLOW-UP batch gets fresh workers and correct values, not worker
-    // 1's stale batch-1 reply (which has the right count and would be
-    // accepted silently).
+    // With 2 workers, both spans are in flight when the first span reply
+    // turns out garbled and the batch fails while the other lane is
+    // still working. A FOLLOW-UP batch must get correct values, not the
+    // other span's stale batch-1 reply (which has the right count and
+    // would be accepted silently). Lanes send and receive as one unit,
+    // so no lane is left holding an unread reply and none is respawned.
     const batch_fixture fixture(85);
     std::vector<double> reference(fixture.amplitudes.size());
     exec::make_executor("statevector", exec::engine_config{})
@@ -407,7 +458,7 @@ TEST(RemoteBackend, FailedBatchCannotLeakStaleRepliesIntoTheNext) {
                     fixture.make_samples(), reference);
 
     fault_plan plan;
-    // Global recv order: hello_ack (1, 2), then span replies (3, 4).
+    // Global recv order: hello_acks (1, 2), then span replies (3, 4).
     plan.garbage_on_recv_call = 3;
     exec::engine_config config;
     config.shards = 2;
@@ -419,7 +470,7 @@ TEST(RemoteBackend, FailedBatchCannotLeakStaleRepliesIntoTheNext) {
                  util::contract_error);
     engine.run_batch(analytic_program(fixture.params, 1),
                      fixture.make_samples(), out);
-    EXPECT_EQ(plan.constructed, 4); // both lanes re-spawned after failure
+    EXPECT_EQ(plan.constructed.load(), 2); // no lane needed a respawn
     for (std::size_t i = 0; i < out.size(); ++i) {
         EXPECT_EQ(out[i], reference[i]) << i;
     }
@@ -614,7 +665,7 @@ TEST_F(worker_env, MissingWorkerBinarySurfacesAsAStructuredError) {
                           fixture.make_samples(), out);
         FAIL() << "expected contract_error";
     } catch (const util::contract_error& error) {
-        EXPECT_NE(std::strstr(error.what(), "remote worker 0"), nullptr)
+        EXPECT_NE(std::strstr(error.what(), "remote #0"), nullptr)
             << error.what();
     }
 }

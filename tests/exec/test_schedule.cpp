@@ -8,6 +8,7 @@
 // dispatch (requeue-once survives worker death with bit-identical
 // output).
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <deque>
 #include <functional>
@@ -446,11 +447,12 @@ TEST(Schedule, ShardedLevelFamiliesMatchStaticBitForBit) {
 // --- fault model under dynamic dispatch -------------------------------------
 
 /// Transport whose Nth non-handshake recv throws once (a worker dying
-/// mid-span under dynamic dispatch).
+/// mid-span under dynamic dispatch). Lanes run on fleet threads, so the
+/// counters they bump are atomic.
 struct kill_plan {
-    int recv_calls = 0;
+    std::atomic<int> recv_calls{0};
     int die_on_recv_call = 0;
-    int constructed = 0;
+    std::atomic<int> constructed{0};
 };
 
 class killable_transport : public exec::wire_transport {

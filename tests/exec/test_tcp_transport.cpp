@@ -504,10 +504,10 @@ TEST(TcpWorker, ForgedProtocolVersionIsRejectedOverTcp) {
 }
 
 TEST(TcpWorker, DeadWorkerMidSpanSurfacesThroughTheFaultModel) {
-    // SIGKILL the only worker once a connection is up: the next exchange
-    // hits a reset/EOF, the remote backend retries through the factory,
-    // the reconnect is refused, and the failure surfaces as the fault
-    // model's structured contract_error naming the lane and span.
+    // SIGKILL the only worker before the first batch: the lane's
+    // connect is refused, its one retry through the factory is refused
+    // too, and the failure surfaces as the fault model's structured
+    // contract_error naming the lane.
     const tcp_batch_fixture fixture(95, 4);
     exec::engine_config config;
     config.shards = 1;
@@ -522,7 +522,7 @@ TEST(TcpWorker, DeadWorkerMidSpanSurfacesThroughTheFaultModel) {
                          fixture.make_samples(), out);
         FAIL() << "expected contract_error";
     } catch (const util::contract_error& error) {
-        EXPECT_NE(std::strstr(error.what(), "remote worker "), nullptr)
+        EXPECT_NE(std::strstr(error.what(), "remote #0"), nullptr)
             << error.what();
     }
 }
