@@ -11,6 +11,15 @@
 
 namespace quorum::exec {
 
+namespace {
+
+/// How long an idle lane polls for its next span before it sleeps. A
+/// scoring loop ships its next batch within microseconds, and parking
+/// and waking every lane per batch costs more than the poll.
+constexpr auto lane_poll_window = std::chrono::microseconds(200);
+
+} // namespace
+
 // --- worker_fleet -----------------------------------------------------------
 
 worker_fleet::worker_fleet(fleet_config config) : config_(std::move(config)) {
@@ -233,6 +242,14 @@ bool worker_fleet::serve_on(lane_state& lane, wire_transport& transport) {
         span_job job;
         {
             std::unique_lock<std::mutex> lock(mutex_);
+            const auto until =
+                std::chrono::steady_clock::now() + lane_poll_window;
+            while (queue_.empty() && !stopping_ &&
+                   std::chrono::steady_clock::now() < until) {
+                lock.unlock();
+                std::this_thread::yield();
+                lock.lock();
+            }
             queue_cv_.wait(lock,
                            [&] { return stopping_ || !queue_.empty(); });
             if (stopping_) {

@@ -245,7 +245,7 @@ void send_all(int fd, const void* data, std::size_t size, int timeout_ms,
     const auto* bytes = static_cast<const std::uint8_t*>(data);
     std::size_t sent = 0;
     while (sent < size) {
-        if (!wait_ready(fd, POLLOUT, until, peer, "send")) {
+        if (timeout_ms >= 0 && !wait_ready(fd, POLLOUT, until, peer, "send")) {
             throw net_error(peer + ": send timed out");
         }
         const ssize_t n =
@@ -267,7 +267,7 @@ bool recv_all_or_eof(int fd, void* data, std::size_t size, int timeout_ms,
     auto* bytes = static_cast<std::uint8_t*>(data);
     std::size_t received = 0;
     while (received < size) {
-        if (!wait_ready(fd, POLLIN, until, peer, "recv")) {
+        if (timeout_ms >= 0 && !wait_ready(fd, POLLIN, until, peer, "recv")) {
             throw net_error(peer + ": recv timed out");
         }
         const ssize_t n = ::recv(fd, bytes + received, size - received, 0);
