@@ -28,6 +28,7 @@
 #include "exec/process_transport.h"
 #include "exec/registry.h"
 #include "exec/remote_backend.h"
+#include "exec/schedule.h"
 #include "exec/serialise.h"
 #include "qml/amplitude_encoding.h"
 #include "qml/ansatz.h"
@@ -198,6 +199,30 @@ TEST(RemoteBackend, NoisyModeIsBitIdenticalForAnyWorkerCount) {
     config.noise = qsim::noise_model::ibm_brisbane_median();
     config.sampling_mode = exec::sampling::binomial;
     config.shots = 256;
+    expect_worker_invariant(fixture, full_program(fixture.params, 1),
+                            "density", config, /*stochastic=*/true);
+}
+
+TEST(RemoteBackend, DynamicScheduleIsBitIdenticalForAnyWorkerCount) {
+    // Under dynamic:2 the fleet's lanes pull many small spans in any
+    // order; output placement is keyed by sample index alone, so every
+    // mode stays IEEE == to the plain backend at every worker count.
+    const batch_fixture fixture(68, 7);
+    exec::engine_config config;
+    config.schedule = exec::parse_schedule_spec("dynamic:2");
+    expect_worker_invariant(fixture, analytic_program(fixture.params, 1),
+                            "statevector", config, /*stochastic=*/false);
+    config.sampling_mode = exec::sampling::binomial;
+    config.shots = 256;
+    expect_worker_invariant(fixture, analytic_program(fixture.params, 1),
+                            "statevector", config, /*stochastic=*/true);
+    config.sampling_mode = exec::sampling::per_shot;
+    config.shots = 32;
+    expect_worker_invariant(fixture, full_program(fixture.params, 1),
+                            "statevector", config, /*stochastic=*/true);
+    config.noise = qsim::noise_model::ibm_brisbane_median();
+    config.sampling_mode = exec::sampling::binomial;
+    config.shots = 128;
     expect_worker_invariant(fixture, full_program(fixture.params, 1),
                             "density", config, /*stochastic=*/true);
 }
