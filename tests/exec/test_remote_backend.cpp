@@ -501,6 +501,26 @@ TEST(RemoteBackend, FailedBatchCannotLeakStaleRepliesIntoTheNext) {
     }
 }
 
+TEST(RemoteBackend, FailedBatchShipsNoMoreSpans) {
+    // One worker, dynamic:1 over 12 samples: 12 spans queued at once.
+    // The first span reply is garbled, which fails the batch; its 11
+    // queued spans must be dropped, not shipped to a worker only for
+    // their results to be thrown away.
+    const batch_fixture fixture(87);
+    fault_plan plan;
+    plan.garbage_on_recv_call = 2; // recv 1 is the hello_ack
+    exec::engine_config config;
+    config.shards = 1;
+    config.schedule = exec::parse_schedule_spec("dynamic:1");
+    const exec::remote_backend engine(config, "statevector",
+                                      faulty_factory(&plan));
+    std::vector<double> out(fixture.amplitudes.size());
+    EXPECT_THROW(engine.run_batch(analytic_program(fixture.params, 1),
+                                  fixture.make_samples(), out),
+                 util::contract_error);
+    EXPECT_EQ(plan.recv_calls.load(), 2);
+}
+
 TEST(RemoteBackend, HandshakeVersionMismatchIsAStructuredError) {
     const batch_fixture fixture(77, 4);
     fault_plan plan;
