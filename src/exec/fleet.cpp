@@ -18,6 +18,13 @@ namespace {
 /// and waking every lane per batch costs more than the poll.
 constexpr auto lane_poll_window = std::chrono::microseconds(200);
 
+/// A span's failure on `lane`, in the one wording every layer uses.
+std::exception_ptr lane_failure(const std::string& lane, const shard_work& span,
+                                const std::string& why) {
+    return std::make_exception_ptr(
+        util::contract_error(span_failure("fleet worker " + lane, span, why)));
+}
+
 } // namespace
 
 // --- worker_fleet -----------------------------------------------------------
@@ -146,8 +153,7 @@ void worker_fleet::fail_queue_locked(const std::string& why) {
     std::deque<span_job> doomed;
     doomed.swap(queue_);
     for (const span_job& job : doomed) {
-        finish_locked(job,
-                      std::make_exception_ptr(util::contract_error(why)));
+        finish_locked(job, std::make_exception_ptr(util::contract_error(why)));
     }
     space_cv_.notify_all();
 }
@@ -159,10 +165,10 @@ void worker_fleet::finish_locked(const span_job& job,
         // Don't ship more doomed work: the batch's queued spans retire
         // unrun, and a submitter blocked on the bound sees the failure.
         batch.failure = std::move(failure);
-        batch.outstanding -= std::erase_if(
-            queue_, [&](const span_job& queued) {
-                return queued.batch == &batch;
-            });
+        const auto queued_here = [&](const span_job& queued) {
+            return queued.batch == &batch;
+        };
+        batch.outstanding -= std::erase_if(queue_, queued_here);
         space_cv_.notify_all();
     }
     if (--batch.outstanding == 0) {
@@ -279,9 +285,7 @@ bool worker_fleet::serve_on(lane_state& lane, wire_transport& transport) {
                 reply, job.batch->out.subspan(job.span.first * width,
                                               job.span.count * width));
         } catch (const util::contract_error& error) {
-            failure = std::make_exception_ptr(util::contract_error(
-                span_failure("fleet worker " + lane.label, job.span,
-                             error.what())));
+            failure = lane_failure(lane.label, job.span, error.what());
         }
         const std::lock_guard<std::mutex> lock(mutex_);
         ++lane.completed;
@@ -305,12 +309,8 @@ void worker_fleet::handle_lane_death(const lane_state& lane, span_job job,
         queue_.push_back(job);
         queue_cv_.notify_one();
     } else {
-        finish_locked(job, std::make_exception_ptr(util::contract_error(
-                               span_failure("fleet worker " + lane.label,
-                                            job.span,
-                                            "worker died (requeue "
-                                            "exhausted): " +
-                                                why))));
+        const std::string died = "worker died (requeue exhausted): " + why;
+        finish_locked(job, lane_failure(lane.label, job.span, died));
     }
 }
 
@@ -389,16 +389,17 @@ void fleet_executor::dispatch(std::span<const program> programs,
         wire::encode_program(block, prog);
     }
     const std::vector<std::uint8_t> blob = block.take();
-    const std::size_t lanes =
-        planned_lanes_ > 0
-            ? planned_lanes_
-            : std::clamp<std::size_t>(fleet_->lane_count(), 1,
-                                      sharded_backend::max_shards);
+    std::size_t lanes = planned_lanes_;
+    if (lanes == 0) {
+        lanes = std::clamp<std::size_t>(fleet_->lane_count(), 1,
+                                        sharded_backend::max_shards);
+    }
     // Keyed by sample index only, exactly like the in-process sharded
     // plan (a family plans without a program), so fused evaluation
     // composes with lane-count invariance.
-    const std::vector<shard_work> plan = planner_.plan(
-        samples.size(), lanes, levels == 0 ? programs.data() : nullptr);
+    const program* sized_by = levels == 0 ? programs.data() : nullptr;
+    const std::vector<shard_work> plan =
+        planner_.plan(samples.size(), lanes, sized_by);
     std::vector<std::vector<std::uint8_t>> requests;
     requests.reserve(plan.size());
     for (const shard_work& span : plan) {
@@ -406,9 +407,8 @@ void fleet_executor::dispatch(std::span<const program> programs,
             span, blob, samples.subspan(span.first, span.count), levels,
             needs_rng_));
     }
-    fleet_->run_spans(plan, std::move(requests), std::max<std::size_t>(
-                                                     levels, 1),
-                      out);
+    const std::size_t values_per_sample = std::max<std::size_t>(levels, 1);
+    fleet_->run_spans(plan, std::move(requests), values_per_sample, out);
 }
 
 } // namespace quorum::exec

@@ -251,8 +251,7 @@ private:
     /// Builds one request per planned span and runs them. `levels` == 0
     /// ships `programs[0]` in run_batch shape; >= 1 the whole family.
     void dispatch(std::span<const program> programs, std::size_t levels,
-                  std::span<const sample> samples,
-                  std::span<double> out) const;
+                  std::span<const sample> samples, std::span<double> out) const;
 
     std::shared_ptr<worker_fleet> fleet_;
     std::size_t planned_lanes_;

@@ -11,8 +11,8 @@ namespace quorum::exec {
 std::string span_failure(std::string_view who, const shard_work& span,
                          std::string_view why) {
     return std::string(who) + " (samples [" + std::to_string(span.first) +
-           ", " + std::to_string(span.first + span.count) +
-           ")) failed: " + std::string(why);
+           ", " + std::to_string(span.first + span.count) + ")) failed: " +
+           std::string(why);
 }
 
 std::vector<shard_work> make_shard_plan(std::size_t n_samples,

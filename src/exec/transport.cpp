@@ -10,8 +10,8 @@
 
 namespace quorum::exec {
 
-void send_frame(int fd, std::span<const std::uint8_t> payload,
-                int timeout_ms, const std::string& peer) {
+void send_frame(int fd, std::span<const std::uint8_t> payload, int timeout_ms,
+                const std::string& peer) {
     QUORUM_EXPECTS_MSG(payload.size() <= wire::max_message_bytes,
                        "wire: message exceeds the frame size limit");
     wire::writer header;
@@ -19,8 +19,7 @@ void send_frame(int fd, std::span<const std::uint8_t> payload,
     try {
         util::send_all(fd, header.data().data(), header.data().size(),
                        timeout_ms, peer);
-        util::send_all(fd, payload.data(), payload.size(), timeout_ms,
-                       peer);
+        util::send_all(fd, payload.data(), payload.size(), timeout_ms, peer);
     } catch (const util::net_error& error) {
         throw transport_error(error.what());
     }
@@ -37,8 +36,7 @@ std::vector<std::uint8_t> recv_frame(int fd, int timeout_ms,
                                   std::to_string(size) + " bytes)");
         }
         std::vector<std::uint8_t> payload(size);
-        util::recv_all(fd, payload.data(), payload.size(), timeout_ms,
-                       peer);
+        util::recv_all(fd, payload.data(), payload.size(), timeout_ms, peer);
         return payload;
     } catch (const util::net_error& error) {
         throw transport_error(error.what());

@@ -54,8 +54,8 @@ protected:
 /// payload. Payloads over wire::max_message_bytes are refused both ways.
 /// Socket failures, timeouts and EOF surface as transport_error naming
 /// `peer`; `timeout_ms` < 0 waits forever.
-void send_frame(int fd, std::span<const std::uint8_t> payload,
-                int timeout_ms, const std::string& peer);
+void send_frame(int fd, std::span<const std::uint8_t> payload, int timeout_ms,
+                const std::string& peer);
 [[nodiscard]] std::vector<std::uint8_t>
 recv_frame(int fd, int timeout_ms, const std::string& peer);
 
