@@ -17,7 +17,9 @@
 // Scores are bit-identical across all arms and worker counts (enforced
 // by tests/exec/test_remote_backend.cpp and the golden fixtures); this
 // bench quantifies what that invariance costs over a process boundary.
-// CI persists the JSON as a BENCH_exec_remote artifact.
+// Every arm runs on worker lanes, not the calling thread, so each is
+// timed in real time (UseRealTime): items_per_second is a wall-clock
+// rate. CI persists the JSON as a BENCH_exec_remote artifact.
 #include <cstdlib>
 
 #include <benchmark/benchmark.h>
@@ -121,13 +123,15 @@ void bm_remote_run_batch(benchmark::State& state) {
     run_batch_arm(state, "remote:statevector");
 }
 BENCHMARK(bm_remote_run_batch)->Arg(1)->Arg(2)->Arg(4)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void bm_sharded_run_batch(benchmark::State& state) {
     run_batch_arm(state, "sharded:statevector");
 }
 BENCHMARK(bm_sharded_run_batch)->Arg(1)->Arg(2)->Arg(4)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 /// One full ensemble group through core: the remote dispatch overhead is
 /// paid once per bucket batch — the realistic detector hot path.
@@ -145,7 +149,8 @@ void bm_remote_ensemble_group(benchmark::State& state) {
     }
 }
 BENCHMARK(bm_remote_ensemble_group)->Arg(1)->Arg(2)->Arg(4)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 } // namespace
 

@@ -85,10 +85,6 @@ public:
     supports(exec::readout_kind kind) const noexcept override {
         return inner_->supports(kind);
     }
-    [[nodiscard]] double run(const qsim::circuit& c, int cbit,
-                             util::rng* gen) const override {
-        return inner_->run(c, cbit, gen);
-    }
     void run_batch(const exec::program& prog,
                    std::span<const exec::sample> samples,
                    std::span<double> out) const override {

@@ -10,7 +10,9 @@
 // The acceptance bar for the sharded backend is >= 2x at 4 shards on the
 // whole-dataset batch. Scores are bit-identical at every shard count (the
 // tests/exec/test_sharded_backend.cpp property suite enforces that); this
-// bench quantifies the speedup that invariance buys.
+// bench quantifies the speedup that invariance buys. Shards are pool
+// threads, so both arms are timed in real time (UseRealTime):
+// items_per_second is a wall-clock rate.
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
@@ -100,7 +102,8 @@ void bm_sharded_run_batch(benchmark::State& state) {
         static_cast<std::int64_t>(d.num_samples() * programs.size()));
 }
 BENCHMARK(bm_sharded_run_batch)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 /// One full ensemble group through core: sharding applies to each
 /// bucket-sized batch, so per-batch pool overhead weighs in — the
@@ -118,7 +121,8 @@ void bm_sharded_ensemble_group(benchmark::State& state) {
     }
 }
 BENCHMARK(bm_sharded_ensemble_group)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 } // namespace
 

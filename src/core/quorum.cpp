@@ -1,5 +1,6 @@
 #include "core/quorum.h"
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <mutex>
@@ -59,16 +60,10 @@ score_report quorum_detector::score(const data::dataset& input) const {
         }
     };
 
-    if (thread_count <= 1 || config_.ensemble_groups == 1) {
-        for (std::size_t g = 0; g < config_.ensemble_groups; ++g) {
-            run_group(g);
-        }
-    } else {
-        // parallel_for's caller participates in the work loop, so
-        // thread_count - 1 workers give exactly thread_count lanes.
-        util::thread_pool pool(thread_count - 1);
-        pool.parallel_for(config_.ensemble_groups, run_group);
-    }
+    // parallel_for's caller participates in the work loop, so n - 1
+    // workers give exactly n lanes; one lane is the caller alone.
+    util::thread_pool pool(std::min(thread_count, config_.ensemble_groups) - 1);
+    pool.parallel_for(config_.ensemble_groups, run_group);
     return aggregate_groups(groups);
 }
 

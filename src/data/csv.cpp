@@ -1,6 +1,7 @@
 #include "data/csv.h"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -109,6 +110,8 @@ dataset read_csv_file(const std::string& path, const csv_options& options) {
 }
 
 void write_csv(std::ostream& out, const dataset& d, char delimiter) {
+    const std::streamsize precision =
+        out.precision(std::numeric_limits<double>::max_digits10);
     if (!d.feature_names().empty()) {
         for (std::size_t j = 0; j < d.num_features(); ++j) {
             out << (j ? std::string(1, delimiter) : "") << d.feature_names()[j];
@@ -131,12 +134,15 @@ void write_csv(std::ostream& out, const dataset& d, char delimiter) {
         }
         out << '\n';
     }
+    out.precision(precision);
 }
 
 void write_scores_csv(std::ostream& out, const dataset& d,
                       const std::vector<double>& scores, char delimiter) {
     QUORUM_EXPECTS_MSG(scores.size() == d.num_samples(),
                        "one score per sample required");
+    const std::streamsize precision =
+        out.precision(std::numeric_limits<double>::max_digits10);
     out << "sample" << delimiter << "score";
     if (d.has_labels()) {
         out << delimiter << "label";
@@ -149,6 +155,7 @@ void write_scores_csv(std::ostream& out, const dataset& d,
         }
         out << '\n';
     }
+    out.precision(precision);
 }
 
 } // namespace quorum::data

@@ -29,11 +29,13 @@ struct csv_options {
                                     const csv_options& options);
 
 /// Writes the dataset (with a header and, when labelled, a final `label`
-/// column) to a stream.
+/// column) to a stream. Values carry max_digits10 significant digits, so
+/// read_csv restores every double bit for bit.
 void write_csv(std::ostream& out, const dataset& d, char delimiter = ',');
 
 /// Writes per-sample anomaly scores (and labels when present) to a stream:
-/// columns sample_index, score[, label].
+/// columns sample_index, score[, label]. Scores keep every bit, as in
+/// write_csv.
 void write_scores_csv(std::ostream& out, const dataset& d,
                       const std::vector<double>& scores, char delimiter = ',');
 

@@ -139,19 +139,6 @@ density_backend::density_backend(engine_config config)
     }
 }
 
-double density_backend::run(const qsim::circuit& c, int cbit,
-                            util::rng* gen) const {
-    const qsim::noisy_run_result result =
-        qsim::density_runner::run(c, config_.noise);
-    const double p_one = result.cbit_probability_one(cbit, config_.noise);
-    if (config_.sampling_mode == sampling::exact) {
-        return p_one;
-    }
-    QUORUM_EXPECTS_MSG(gen != nullptr, "sampling modes need an rng stream");
-    return static_cast<double>(gen->binomial(config_.shots, p_one)) /
-           static_cast<double>(config_.shots);
-}
-
 void density_backend::run_batch(const program& prog,
                                 std::span<const sample> samples,
                                 std::span<double> out) const {

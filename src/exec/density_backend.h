@@ -26,19 +26,12 @@ public:
         return kind == readout_kind::cbit_probability;
     }
 
-    /// Fused multi-level evaluation: the noisy density evolution of the
-    /// op prefix a level family shares (prep + encoder + nested resets)
-    /// runs once per sample; each level forks a copy of the cached state.
-    [[nodiscard]] bool supports(capability what) const noexcept override {
-        return what == capability::fused_levels;
-    }
-
-    [[nodiscard]] double run(const qsim::circuit& c, int cbit,
-                             util::rng* gen) const override;
-
     void run_batch(const program& prog, std::span<const sample> samples,
                    std::span<double> out) const override;
 
+    /// Fused multi-level evaluation: the noisy density evolution of the
+    /// op prefix a level family shares (prep + encoder + nested resets)
+    /// runs once per sample; each level forks a copy of the cached state.
     void run_batch_levels(std::span<const program> levels,
                           std::span<const sample> samples,
                           std::span<double> out) const override;

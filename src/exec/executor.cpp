@@ -48,9 +48,8 @@ void executor::run_batch_levels(std::span<const program> levels,
                                 std::span<const sample> samples,
                                 std::span<double> out) const {
     // Naive per-level fallback: correct for every backend, fused for none.
-    // Backends advertising capability::fused_levels override this with an
-    // implementation that shares the per-sample prefix work; results must
-    // stay ==-equal to this loop.
+    // Fused backends override this with an implementation that shares
+    // the per-sample prefix work; results must stay ==-equal to this loop.
     QUORUM_EXPECTS_MSG(!levels.empty(),
                        "run_batch_levels needs at least one level program");
     QUORUM_EXPECTS_MSG(out.size() == samples.size() * levels.size(),

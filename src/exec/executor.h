@@ -3,13 +3,18 @@
 // Everything above qsim (the ensemble loop, the CLI, the trained
 // baselines) evaluates circuits through this interface instead of calling
 // a simulator directly. A backend wraps one engine (state-vector exact /
-// per-shot, density-matrix noisy, future: sharded, GPU, remote) behind two
-// entry points:
+// per-shot, density-matrix noisy, or a sharded / remote / fleet wrapper
+// around one of them) behind three entry points:
 //
-//   run(circuit)          — one complete circuit, one readout;
-//   run_batch(program, samples) — a compiled_program replayed across a
-//                           batch of samples, amortising circuit build,
-//                           validation and gate fusion over the batch.
+//   run_batch(program, samples)         — a compiled_program replayed
+//                                         across a batch of samples,
+//                                         amortising circuit build,
+//                                         validation and gate fusion;
+//   run_batch_levels(family, samples)   — a compression-level family,
+//                                         the shared prefix evolved once
+//                                         per sample where the engine can;
+//   make_level_session(family)          — the same, planned once and
+//                                         replayed call after call.
 //
 // Backends are stateless: every method is const and thread-safe, so one
 // executor instance can serve all ensemble worker threads. Per-sample
@@ -119,17 +124,6 @@ struct program {
     readout_spec readout{};
 };
 
-/// Optional backend capabilities beyond readout evaluation, queried
-/// through executor::supports(capability).
-enum class capability {
-    /// run_batch_levels evaluates a program family with a genuinely fused
-    /// implementation (shared prep + encoder prefix evolved once per
-    /// sample). Backends without it still accept run_batch_levels via the
-    /// naive per-level base implementation — the capability only tells
-    /// callers whether fusing buys anything.
-    fused_levels,
-};
-
 /// A persistent evaluation session over one program family — the
 /// streaming-path analogue of run_batch_levels. Where run_batch_levels
 /// re-plans the family (replay plans, fork points, scratch sizing) and
@@ -181,18 +175,6 @@ public:
     [[nodiscard]] virtual bool
     supports(readout_kind kind) const noexcept = 0;
 
-    /// True when the backend implements the given optional capability
-    /// (default: none). See exec::capability.
-    [[nodiscard]] virtual bool supports(capability) const noexcept {
-        return false;
-    }
-
-    /// Runs one complete circuit and reports P(cbit = 1) under this
-    /// backend's sampling semantics. `gen` may be null under
-    /// sampling::exact and must be non-null otherwise.
-    [[nodiscard]] virtual double run(const qsim::circuit& c, int cbit,
-                                     util::rng* gen) const = 0;
-
     /// Replays `prog` for every sample and writes one readout value per
     /// sample into `out` (out.size() == samples.size()). Thread-safe.
     virtual void run_batch(const program& prog,
@@ -207,17 +189,16 @@ public:
     ///
     /// Contract: results are EQUAL (IEEE ==) to running each level alone
     /// through run_batch with sample.gen = sample.level_gens[k]; fused
-    /// implementations (supports(capability::fused_levels)) only amortise
-    /// the work the levels share. The base implementation is that naive
-    /// per-level loop. Thread-safe.
+    /// implementations only amortise the work the levels share. The base
+    /// implementation is that naive per-level loop. Thread-safe.
     virtual void run_batch_levels(std::span<const program> levels,
                                   std::span<const sample> samples,
                                   std::span<double> out) const;
 
     /// Creates a persistent session over `family` (see level_session).
     /// The base implementation simply replays run_batch_levels per call —
-    /// correct everywhere, amortised nowhere; backends with
-    /// capability::fused_levels override it to hoist planning and buffer
+    /// correct everywhere, amortised nowhere; backends with a fused
+    /// run_batch_levels override it to hoist planning and buffer
     /// allocation out of the per-call path. The engine must outlive the
     /// session.
     [[nodiscard]] virtual std::unique_ptr<level_session>

@@ -210,8 +210,8 @@ private:
 };
 
 /// Executor adapter: scoring through a fleet. Construction instantiates a
-/// local probe of the inner backend (config validation + single-circuit
-/// runs); batches are planned with the configured span planner
+/// local probe of the inner backend (config validation + readout
+/// support); batches are planned with the configured span planner
 /// (fleet_config::engine.schedule) and shipped through
 /// worker_fleet::run_spans, whose bounded job queue the lanes PULL from,
 /// multiplexing concurrent callers. The plan spans `planned_lanes`
@@ -231,16 +231,6 @@ public:
     [[nodiscard]] bool supports(readout_kind kind) const noexcept override {
         return probe_->supports(kind);
     }
-    [[nodiscard]] bool supports(capability what) const noexcept override {
-        return probe_->supports(what);
-    }
-
-    /// Single circuits have nothing to distribute; local probe.
-    [[nodiscard]] double run(const qsim::circuit& c, int cbit,
-                             util::rng* gen) const override {
-        return probe_->run(c, cbit, gen);
-    }
-
     void run_batch(const program& prog, std::span<const sample> samples,
                    std::span<double> out) const override;
     void run_batch_levels(std::span<const program> levels,

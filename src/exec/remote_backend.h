@@ -62,20 +62,6 @@ public:
         return probe_->supports(kind);
     }
 
-    /// Capabilities are the inner backend's: workers fuse compression
-    /// levels exactly when their engine does (and fused == per-level is
-    /// the engine contract either way).
-    [[nodiscard]] bool supports(capability what) const noexcept override {
-        return probe_->supports(what);
-    }
-
-    /// Single circuits have nothing to distribute; runs on the local
-    /// probe instance of the inner backend.
-    [[nodiscard]] double run(const qsim::circuit& c, int cbit,
-                             util::rng* gen) const override {
-        return probe_->run(c, cbit, gen);
-    }
-
     /// Plans with the configured span planner (config.schedule: one
     /// balanced span per worker, or many grain-sized spans) over
     /// worker_count() lanes and runs the spans on the private fleet.

@@ -10,11 +10,12 @@
 //                     PR 3: min(lanes, n) contiguous spans balanced to
 //                     within one sample, one span per lane.
 //   dynamic:<grain> — many small spans of ~`grain` samples each; lanes
-//                     PULL spans from a shared deterministic queue
-//                     (span_queue, or the thread pool's parallel_for
-//                     claim counter, or the fleet's job queue), so fast
-//                     lanes absorb skew instead of idling behind the
-//                     slowest span.
+//                     PULL spans in plan order from a shared queue (the
+//                     thread pool's parallel_for claim counter, or the
+//                     fleet's job queue), so fast lanes absorb skew
+//                     instead of idling behind the slowest span. Which
+//                     LANE gets a span depends on timing; which SPANS
+//                     exist and where their output lands does not.
 //
 // Determinism: a plan is a pure function of (n_samples, lanes, grain) —
 // never of time, load or completion order — and every span writes its
@@ -26,10 +27,8 @@
 #ifndef QUORUM_EXEC_SCHEDULE_H
 #define QUORUM_EXEC_SCHEDULE_H
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -128,38 +127,6 @@ public:
 
 private:
     schedule_spec spec_{};
-};
-
-/// The shared deterministic pull queue: lanes claim span indices in plan
-/// order with one atomic counter. Which LANE gets a span depends on
-/// timing; which SPANS exist and where their output lands does not —
-/// that is the whole determinism argument. (util::thread_pool::
-/// parallel_for uses the identical claim loop in-process.)
-class span_queue {
-public:
-    explicit span_queue(std::size_t count) noexcept : count_(count) {}
-
-    /// Claims the next unclaimed span index, or nullopt when the plan is
-    /// drained (or the queue was closed). Thread-safe, lock-free.
-    [[nodiscard]] std::optional<std::size_t> pull() noexcept {
-        const std::size_t k =
-            next_.fetch_add(1, std::memory_order_relaxed);
-        if (k >= count_) {
-            return std::nullopt;
-        }
-        return k;
-    }
-
-    /// Stops further pulls (first failure wins; siblings drain out).
-    void close() noexcept {
-        next_.store(count_, std::memory_order_relaxed);
-    }
-
-    [[nodiscard]] std::size_t count() const noexcept { return count_; }
-
-private:
-    std::atomic<std::size_t> next_{0};
-    std::size_t count_ = 0;
 };
 
 } // namespace quorum::exec

@@ -48,19 +48,6 @@ public:
         return inner_->supports(kind);
     }
 
-    /// Capabilities are the inner backend's: a sharded engine fuses
-    /// compression levels exactly when its lanes do.
-    [[nodiscard]] bool supports(capability what) const noexcept override {
-        return inner_->supports(what);
-    }
-
-    /// Single circuits have nothing to partition; delegates to the inner
-    /// backend.
-    [[nodiscard]] double run(const qsim::circuit& c, int cbit,
-                             util::rng* gen) const override {
-        return inner_->run(c, cbit, gen);
-    }
-
     /// Partitions the batch with the configured span planner
     /// (config.schedule: one balanced span per shard, or many
     /// grain-sized spans the shard lanes pull from parallel_for's shared
@@ -88,11 +75,12 @@ public:
     [[nodiscard]] const executor& inner() const noexcept { return *inner_; }
 
 private:
-    /// Lazily builds (first multi-shard batch) and returns the shard
+    /// Lazily builds (first multi-span batch) and returns the shard
     /// pool: construction stays thread-free, so config validation can
-    /// instantiate the backend without spawning workers, and shards == 1
-    /// never creates any. The caller participates in parallel_for, so
-    /// shards_ - 1 workers give exactly shards_ concurrent lanes.
+    /// instantiate the backend without spawning workers. The caller
+    /// participates in parallel_for, so shards_ - 1 workers give exactly
+    /// shards_ concurrent lanes — shards == 1 is a zero-worker pool and
+    /// runs every span, under any schedule, on the calling thread.
     [[nodiscard]] util::thread_pool& pool() const;
 
     std::unique_ptr<executor> inner_;

@@ -6,7 +6,6 @@
 
 #include "qml/observables.h"
 #include "qml/swap_test.h"
-#include "qsim/statevector_runner.h"
 #include "util/contracts.h"
 
 namespace quorum::exec {
@@ -692,47 +691,6 @@ bool statevector_backend::supports(readout_kind kind) const noexcept {
         return kind == readout_kind::cbit_probability;
     }
     return false;
-}
-
-bool statevector_backend::supports(capability what) const noexcept {
-    // Per-shot replay is stochastic per (level, shot), so there is no
-    // shared deterministic prefix to fuse — run_batch_levels falls back to
-    // the naive per-level loop there.
-    return what == capability::fused_levels &&
-           config_.sampling_mode != sampling::per_shot;
-}
-
-double statevector_backend::run(const qsim::circuit& c, int cbit,
-                                util::rng* gen) const {
-    switch (config_.sampling_mode) {
-    case sampling::exact:
-    case sampling::binomial: {
-        const qsim::exact_run_result result =
-            qsim::statevector_runner::run_exact(c);
-        const double p_one = result.cbit_probability_one(cbit);
-        if (config_.sampling_mode == sampling::exact) {
-            return p_one;
-        }
-        QUORUM_EXPECTS_MSG(gen != nullptr,
-                           "sampling modes need an rng stream");
-        return static_cast<double>(gen->binomial(config_.shots, p_one)) /
-               static_cast<double>(config_.shots);
-    }
-    case sampling::per_shot: {
-        QUORUM_EXPECTS_MSG(gen != nullptr,
-                           "sampling modes need an rng stream");
-        std::size_t ones = 0;
-        for (std::size_t shot = 0; shot < config_.shots; ++shot) {
-            const std::vector<bool> cbits =
-                qsim::statevector_runner::run_single_shot(c, *gen);
-            ones += static_cast<std::size_t>(
-                cbits[static_cast<std::size_t>(cbit)]);
-        }
-        return static_cast<double>(ones) /
-               static_cast<double>(config_.shots);
-    }
-    }
-    throw util::contract_error("unknown sampling mode");
 }
 
 void statevector_backend::run_batch(const program& prog,

@@ -31,16 +31,12 @@ public:
 
     [[nodiscard]] bool supports(readout_kind kind) const noexcept override;
 
-    /// Fused multi-level evaluation, except under per-shot sampling
-    /// (stochastic per shot — no deterministic prefix to share).
-    [[nodiscard]] bool supports(capability what) const noexcept override;
-
-    [[nodiscard]] double run(const qsim::circuit& c, int cbit,
-                             util::rng* gen) const override;
-
     void run_batch(const program& prog, std::span<const sample> samples,
                    std::span<double> out) const override;
 
+    /// Fused multi-level evaluation, except under per-shot sampling
+    /// (stochastic per shot — no deterministic prefix to share), where
+    /// the base per-level loop serves.
     void run_batch_levels(std::span<const program> levels,
                           std::span<const sample> samples,
                           std::span<double> out) const override;

@@ -1,11 +1,10 @@
 #include "util/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
 #include <memory>
 #include <utility>
-
-#include "util/contracts.h"
 
 namespace quorum::util {
 
@@ -54,9 +53,8 @@ void drive_parallel_for(const std::shared_ptr<parallel_for_state>& state) {
 } // namespace
 
 thread_pool::thread_pool(std::size_t threads) {
-    const std::size_t count = threads == 0 ? 1 : threads;
-    workers_.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
+    workers_.reserve(threads);
+    for (std::size_t i = 0; i < threads; ++i) {
         workers_.emplace_back([this]() { worker_loop(); });
     }
 }

@@ -9,18 +9,20 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 namespace quorum::util {
 
-/// A minimal fixed-size thread pool. Tasks are void() callables; use
-/// submit() for future-returning work or parallel_for for index ranges.
+/// A minimal fixed-size thread pool whose one entry point is
+/// parallel_for. The calling thread always takes part in the work, so
+/// `threads` workers give threads + 1 lanes, and thread_pool(0) is the
+/// caller alone: no worker is started and every index runs in order on
+/// the calling thread.
 class thread_pool {
 public:
-    /// Creates `threads` workers (at least 1).
+    /// Starts `threads` workers (0 = none; the caller works alone).
     explicit thread_pool(std::size_t threads);
 
     thread_pool(const thread_pool&) = delete;
@@ -29,31 +31,16 @@ public:
     /// Drains outstanding tasks, then joins all workers.
     ~thread_pool();
 
-    /// Number of worker threads.
+    /// Number of worker threads, not counting the caller.
     [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
-
-    /// Enqueues a task and returns a future for its result.
-    template <typename F>
-    auto submit(F&& task) -> std::future<std::invoke_result_t<F>> {
-        using result_t = std::invoke_result_t<F>;
-        auto packaged = std::make_shared<std::packaged_task<result_t()>>(
-            std::forward<F>(task));
-        std::future<result_t> result = packaged->get_future();
-        {
-            const std::scoped_lock lock(mutex_);
-            queue_.emplace_back([packaged]() { (*packaged)(); });
-        }
-        wake_.notify_one();
-        return result;
-    }
 
     /// Runs body(i) for i in [0, count) across the pool and blocks until all
     /// iterations finish. Exceptions from body are rethrown (first one wins);
     /// every other iteration still runs, so a failure can never hang the
     /// pool. The calling thread participates in the work loop instead of
-    /// sleeping on futures, which makes nested calls — a worker's task
-    /// invoking parallel_for on its own pool — complete even when every
-    /// worker is busy. Safe to call concurrently from multiple threads.
+    /// sleeping on the workers, which makes nested calls — a body invoking
+    /// parallel_for on its own pool — complete even when every worker is
+    /// busy. Safe to call concurrently from multiple threads.
     void parallel_for(std::size_t count,
                       const std::function<void(std::size_t)>& body);
 

@@ -1,4 +1,8 @@
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <sstream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -100,6 +104,44 @@ TEST(Csv, RoundTripPreservesValuesAndLabels) {
         EXPECT_EQ(restored.label(i), original.label(i));
     }
     EXPECT_EQ(restored.feature_names()[0], "alpha");
+}
+
+TEST(Csv, RoundTripKeepsEveryBit) {
+    // Values that 6 significant digits would round, plus the extremes.
+    const std::vector<std::vector<double>> rows = {
+        {0.1, 1.0 / 3.0, 2.0 / 3.0},
+        {0.1 + 0.2, -0.0, 1e-300},
+        {123456.78901234567, std::numeric_limits<double>::max(),
+         -std::numeric_limits<double>::epsilon()}};
+    const dataset original = dataset::from_rows(rows, {1, 0, 1});
+    std::ostringstream out;
+    write_csv(out, original);
+
+    std::istringstream in(out.str());
+    csv_options options;
+    options.label_column = 3;
+    const dataset restored = read_csv(in, options);
+    ASSERT_EQ(restored.num_samples(), rows.size());
+    ASSERT_EQ(restored.num_features(), rows[0].size());
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        for (std::size_t j = 0; j < rows[i].size(); ++j) {
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(restored.at(i, j)),
+                      std::bit_cast<std::uint64_t>(rows[i][j]))
+                << "row " << i << " column " << j;
+        }
+        EXPECT_EQ(restored.label(i), original.label(i));
+    }
+}
+
+TEST(Csv, WriteScoresKeepsEveryBit) {
+    const dataset d = dataset::from_rows({{1.0}, {2.0}});
+    std::ostringstream out;
+    out.precision(3);
+    write_scores_csv(out, d, {0.1, 1.0 / 3.0});
+    EXPECT_EQ(out.str(), "sample,score\n"
+                         "0,0.10000000000000001\n"
+                         "1,0.33333333333333331\n");
+    EXPECT_EQ(out.precision(), 3); // the caller's stream state survives
 }
 
 TEST(Csv, WriteScoresIncludesLabels) {

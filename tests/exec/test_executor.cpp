@@ -175,7 +175,8 @@ TEST(StatevectorBackend, RunMatchesRunBatchOnACompleteCircuit) {
         exec::make_executor("statevector", exec::engine_config{});
     const qsim::circuit c = qml::build_autoencoder_circuit(
         fixture.amplitudes[0], fixture.params, 1);
-    const double via_run = engine->run(c, qml::swap_result_cbit, nullptr);
+    const qsim::exact_run_result exact = qsim::statevector_runner::run_exact(c);
+    const double via_run = exact.cbit_probability_one(qml::swap_result_cbit);
     std::vector<double> via_batch(1);
     engine->run_batch(full_program(fixture.params, 1),
                       fixture.make_samples(), via_batch);

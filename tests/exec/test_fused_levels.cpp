@@ -273,26 +273,6 @@ TEST(FusedLevels, SingleLevelFamilyWorks) {
                          fixture, 59, false);
 }
 
-TEST(FusedLevels, CapabilityIsAdvertisedPerBackend) {
-    exec::engine_config exact;
-    EXPECT_TRUE(exec::make_executor("statevector", exact)
-                    ->supports(exec::capability::fused_levels));
-    EXPECT_TRUE(exec::make_executor("density", exact)
-                    ->supports(exec::capability::fused_levels));
-    EXPECT_TRUE(exec::make_executor("sharded:statevector", exact)
-                    ->supports(exec::capability::fused_levels));
-
-    exec::engine_config per_shot;
-    per_shot.sampling_mode = exec::sampling::per_shot;
-    per_shot.shots = 8;
-    // Per-shot replay is stochastic per shot: nothing to fuse, and the
-    // naive fallback serves run_batch_levels instead.
-    EXPECT_FALSE(exec::make_executor("statevector", per_shot)
-                     ->supports(exec::capability::fused_levels));
-    EXPECT_FALSE(exec::make_executor("sharded:statevector", per_shot)
-                     ->supports(exec::capability::fused_levels));
-}
-
 TEST(FusedLevels, MissingLevelStreamsAreRejected) {
     const level_fixture fixture(25, 3);
     exec::engine_config config;

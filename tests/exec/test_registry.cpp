@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -48,10 +49,6 @@ public:
     supports(exec::readout_kind) const noexcept override {
         return true;
     }
-    [[nodiscard]] double run(const qsim::circuit&, int,
-                             quorum::util::rng*) const override {
-        return 0.25;
-    }
     void run_batch(const exec::program&,
                    std::span<const exec::sample> samples,
                    std::span<double> out) const override {
@@ -70,7 +67,10 @@ TEST(ExecRegistry, CustomBackendsPlugIn) {
     const std::unique_ptr<exec::executor> engine =
         exec::make_executor("constant", exec::engine_config{});
     EXPECT_EQ(engine->name(), "constant");
-    EXPECT_DOUBLE_EQ(engine->run(qsim::circuit(1), 0, nullptr), 0.25);
+    std::vector<double> out(2);
+    engine->run_batch(exec::program{}, std::vector<exec::sample>(2), out);
+    EXPECT_DOUBLE_EQ(out[0], 0.25);
+    EXPECT_DOUBLE_EQ(out[1], 0.25);
 }
 
 } // namespace

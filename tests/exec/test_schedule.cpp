@@ -13,10 +13,8 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <set>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -312,37 +310,6 @@ TEST(Schedule, DynamicSpanCountIsCappedDeterministically) {
         covered += span.count;
     }
     EXPECT_EQ(covered, 10000u);
-}
-
-TEST(Schedule, SpanQueueHandsOutEachIndexExactlyOnce) {
-    exec::span_queue queue(97);
-    std::vector<std::vector<std::size_t>> claimed(4);
-    {
-        std::vector<std::thread> pullers;
-        for (std::size_t t = 0; t < claimed.size(); ++t) {
-            pullers.emplace_back([&queue, &mine = claimed[t]] {
-                while (const auto k = queue.pull()) {
-                    mine.push_back(*k);
-                }
-            });
-        }
-        for (std::thread& puller : pullers) {
-            puller.join();
-        }
-    }
-    std::set<std::size_t> all;
-    for (const auto& mine : claimed) {
-        all.insert(mine.begin(), mine.end());
-    }
-    EXPECT_EQ(all.size(), 97u); // every span claimed, none twice
-    EXPECT_EQ(*all.begin(), 0u);
-    EXPECT_EQ(*all.rbegin(), 96u);
-    EXPECT_FALSE(queue.pull().has_value()); // drained stays drained
-
-    exec::span_queue closed(5);
-    ASSERT_TRUE(closed.pull().has_value());
-    closed.close();
-    EXPECT_FALSE(closed.pull().has_value());
 }
 
 // --- policy invariance on every consumer ------------------------------------

@@ -4,19 +4,26 @@
 // reproducible when the ensemble fans out (and the regression the related
 // QAE reproductions are notoriously brittle against).
 #include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <limits>
+#include <memory>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "exec/registry.h"
+#include "exec/schedule.h"
 #include "exec/sharded_backend.h"
 #include "qml/amplitude_encoding.h"
 #include "qml/ansatz.h"
 #include "qml/autoencoder.h"
+#include "qsim/density_runner.h"
 #include "util/contracts.h"
 #include "util/rng.h"
 
@@ -170,9 +177,11 @@ TEST(ShardedBackend, BatchedDensityMatchesPerSampleMaterializedRuns) {
     for (std::size_t i = 0; i < fixture.amplitudes.size(); ++i) {
         const qsim::circuit c =
             program.circuit.materialize(fixture.amplitudes[i]);
-        EXPECT_EQ(batched[i],
-                  engine->run(c, qml::swap_result_cbit, nullptr))
-            << i;
+        const qsim::noisy_run_result oracle =
+            qsim::density_runner::run(c, config.noise);
+        const double p_one =
+            oracle.cbit_probability_one(qml::swap_result_cbit, config.noise);
+        EXPECT_EQ(batched[i], p_one) << i;
     }
 }
 
@@ -276,10 +285,6 @@ public:
     supports(exec::readout_kind) const noexcept override {
         return true;
     }
-    [[nodiscard]] double run(const qsim::circuit&, int,
-                             util::rng*) const override {
-        boom();
-    }
     void run_batch(const exec::program&, std::span<const exec::sample>,
                    std::span<double>) const override {
         boom();
@@ -340,6 +345,69 @@ TEST(ShardedBackend, NonContractShardFailureKeepsItsType) {
                  std::runtime_error);
 }
 
+/// Which thread ran each span of a batch.
+struct thread_log {
+    std::mutex mutex;
+    std::vector<std::thread::id> span_threads;
+};
+
+/// A registry backend that records the thread running each span it is
+/// handed — the probe for how many lanes the shard pool really uses.
+class thread_recording_backend final : public exec::executor {
+public:
+    explicit thread_recording_backend(std::shared_ptr<thread_log> log)
+        : log_(std::move(log)) {}
+
+    [[nodiscard]] std::string_view name() const noexcept override {
+        return "thread_recording";
+    }
+    [[nodiscard]] bool
+    supports(exec::readout_kind) const noexcept override {
+        return true;
+    }
+    void run_batch(const exec::program&, std::span<const exec::sample>,
+                   std::span<double> out) const override {
+        // Long enough that an idle pool worker gets to claim spans.
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        std::fill(out.begin(), out.end(), 0.5);
+        const std::scoped_lock lock(log_->mutex);
+        log_->span_threads.push_back(std::this_thread::get_id());
+    }
+
+private:
+    std::shared_ptr<thread_log> log_;
+};
+
+TEST(ShardedBackend, ShardCountBoundsTheLanesUnderDynamicSpans) {
+    const auto log = std::make_shared<thread_log>();
+    exec::register_backend(
+        "thread_recording", [log](const exec::engine_config&) {
+            return std::unique_ptr<exec::executor>(
+                new thread_recording_backend(log));
+        });
+    const batch_fixture fixture(51, 24);
+    const exec::program program = analytic_program(fixture.params, 1);
+    exec::engine_config config;
+    config.schedule = exec::parse_schedule_spec("dynamic:2");
+    for (const std::size_t shards : shard_counts) {
+        log->span_threads.clear();
+        config.shards = shards;
+        const auto engine =
+            exec::make_executor("sharded:thread_recording", config);
+        std::vector<double> out(fixture.amplitudes.size());
+        engine->run_batch(program, fixture.make_samples(), out);
+        ASSERT_EQ(log->span_threads.size(), 12u) << shards << " shards";
+        const std::set<std::thread::id> lanes(log->span_threads.begin(),
+                                              log->span_threads.end());
+        EXPECT_LE(lanes.size(), shards);
+        if (shards == 1) {
+            // One shard is the caller alone, however many spans.
+            EXPECT_EQ(lanes,
+                      std::set<std::thread::id>{std::this_thread::get_id()});
+        }
+    }
+}
+
 TEST(ShardedBackend, SpecParsingValidatesShape) {
     EXPECT_THROW((void)exec::parse_backend_spec(""), util::contract_error);
     EXPECT_THROW((void)exec::parse_backend_spec(":statevector"),
@@ -395,19 +463,6 @@ TEST(ShardedBackend, ShardCountResolvesZeroToHardware) {
     config.shards = 0;
     const exec::sharded_backend defaulted(config, "statevector");
     EXPECT_GE(defaulted.shard_count(), 1u);
-}
-
-TEST(ShardedBackend, RunDelegatesToInnerBackend) {
-    const batch_fixture fixture(45, 1);
-    exec::engine_config config;
-    config.shards = 2;
-    const auto sharded = exec::make_executor("sharded:statevector", config);
-    const auto inner =
-        exec::make_executor("statevector", exec::engine_config{});
-    const qsim::circuit c = qml::build_autoencoder_circuit(
-        fixture.amplitudes[0], fixture.params, 1);
-    EXPECT_EQ(sharded->run(c, qml::swap_result_cbit, nullptr),
-              inner->run(c, qml::swap_result_cbit, nullptr));
 }
 
 } // namespace

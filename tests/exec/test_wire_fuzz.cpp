@@ -27,80 +27,21 @@
 #include "util/contracts.h"
 #include "util/rng.h"
 
+#include "fuzz_mutator.h"
+
 namespace {
 
 using namespace quorum;
-using bytes = std::vector<std::uint8_t>;
+using fuzz::bytes;
+using fuzz::mutator;
 
 /// Mutated inputs per seed message.
 constexpr int fuzz_budget = 1000;
-
-/// Byte values on the edge of some decoded field's range.
-constexpr std::uint8_t boundary[] = {0x00, 0x01, 0x7F, 0x80, 0xFF};
 
 constexpr auto hello_ack_byte =
     static_cast<std::uint8_t>(exec::wire::message::hello_ack);
 constexpr auto result_byte =
     static_cast<std::uint8_t>(exec::wire::message::result);
-
-/// Derives mutants from a seed message. The same seed always yields the
-/// same sequence of inputs, so any failure reproduces exactly.
-class mutator {
-public:
-    mutator(std::uint64_t seed, std::vector<bytes> corpus)
-        : gen_(seed), corpus_(std::move(corpus)) {}
-
-    [[nodiscard]] bytes mutate(const bytes& input) {
-        bytes out = input;
-        const std::size_t edits = 1 + below(3);
-        for (std::size_t e = 0; e < edits; ++e) {
-            switch (below(4)) {
-            case 0: // flip one bit
-                if (!out.empty()) {
-                    out[below(out.size())] ^=
-                        static_cast<std::uint8_t>(1u << below(8));
-                }
-                break;
-            case 1: // overwrite a byte with a boundary or random value
-                if (!out.empty()) {
-                    auto value = static_cast<std::uint8_t>(below(256));
-                    if (below(2) == 0) {
-                        value = boundary[below(std::size(boundary))];
-                    }
-                    out[below(out.size())] = value;
-                }
-                break;
-            case 2: // truncate
-                out.resize(below(out.size() + 1));
-                break;
-            default: { // splice in a slice of another seed message
-                const bytes& donor = corpus_[below(corpus_.size())];
-                if (donor.empty()) {
-                    break;
-                }
-                const std::size_t from = below(donor.size());
-                const std::size_t length =
-                    1 + below(std::min<std::size_t>(donor.size() - from, 64));
-                const std::size_t at = below(out.size() + 1);
-                out.insert(out.begin() + static_cast<std::ptrdiff_t>(at),
-                           donor.begin() + static_cast<std::ptrdiff_t>(from),
-                           donor.begin() +
-                               static_cast<std::ptrdiff_t>(from + length));
-                break;
-            }
-            }
-        }
-        return out;
-    }
-
-private:
-    [[nodiscard]] std::size_t below(std::size_t n) {
-        return n == 0 ? 0 : static_cast<std::size_t>(gen_() % n);
-    }
-
-    util::xoshiro256ss gen_;
-    std::vector<bytes> corpus_;
-};
 
 exec::program analytic_program(const qml::ansatz_params& params,
                                std::size_t level) {

@@ -1,5 +1,4 @@
 #include <atomic>
-#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -14,23 +13,20 @@ namespace {
 using quorum::util::default_thread_count;
 using quorum::util::thread_pool;
 
-TEST(ThreadPool, ZeroRequestedGivesOneWorker) {
+TEST(ThreadPool, ZeroWorkersRunEveryIndexOnTheCaller) {
     thread_pool pool(0);
-    EXPECT_EQ(pool.size(), 1u);
-}
-
-TEST(ThreadPool, SubmitReturnsResult) {
-    thread_pool pool(2);
-    auto future = pool.submit([]() { return 6 * 7; });
-    EXPECT_EQ(future.get(), 42);
-}
-
-TEST(ThreadPool, SubmitPropagatesExceptions) {
-    thread_pool pool(2);
-    auto future = pool.submit([]() -> int {
-        throw std::runtime_error("boom");
+    EXPECT_EQ(pool.size(), 0u);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<std::size_t> order;
+    bool all_on_caller = true;
+    pool.parallel_for(50, [&](std::size_t i) {
+        all_on_caller &= std::this_thread::get_id() == caller;
+        order.push_back(i);
     });
-    EXPECT_THROW(future.get(), std::runtime_error);
+    EXPECT_TRUE(all_on_caller);
+    std::vector<std::size_t> expected(50);
+    std::iota(expected.begin(), expected.end(), std::size_t{0});
+    EXPECT_EQ(order, expected);
 }
 
 TEST(ThreadPool, ParallelForVisitsEveryIndexOnce) {
@@ -103,20 +99,6 @@ TEST(ThreadPool, NestedParallelForDoesNotDeadlock) {
     }
 }
 
-TEST(ThreadPool, ParallelForInsideSubmittedTaskCompletes) {
-    thread_pool pool(1);
-    auto future = pool.submit([&pool]() {
-        long sum = 0;
-        std::mutex m;
-        pool.parallel_for(100, [&](std::size_t i) {
-            const std::scoped_lock lock(m);
-            sum += static_cast<long>(i);
-        });
-        return sum;
-    });
-    EXPECT_EQ(future.get(), 100L * 99L / 2L);
-}
-
 TEST(ThreadPool, NestedParallelForPropagatesInnerException) {
     thread_pool pool(2);
     EXPECT_THROW(
@@ -170,6 +152,6 @@ TEST_P(PoolSizeSweep, SumIndependentOfPoolSize) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, PoolSizeSweep,
-                         ::testing::Values(1u, 2u, 3u, 4u, 8u, 16u));
+                         ::testing::Values(0u, 1u, 2u, 3u, 4u, 8u, 16u));
 
 } // namespace

@@ -46,6 +46,7 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -428,6 +429,7 @@ int main(int argc, char** argv) {
                       << "' for writing\n";
             return 1;
         }
+        out.precision(std::numeric_limits<double>::max_digits10);
         out << "position,score,runs";
         if (input.has_labels()) {
             out << ",label";
