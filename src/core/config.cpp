@@ -1,7 +1,11 @@
 #include "core/config.h"
 
+#include <ostream>
+
 #include "exec/registry.h"
+#include "exec/schedule.h"
 #include "util/contracts.h"
+#include "util/parse.h"
 
 namespace quorum::core {
 
@@ -17,6 +21,86 @@ const char* exec_mode_name(exec_mode mode) noexcept {
         return "noisy";
     }
     return "?";
+}
+
+bool parse_exec_mode(std::string_view text, exec_mode& mode) noexcept {
+    for (const exec_mode candidate :
+         {exec_mode::exact, exec_mode::sampled, exec_mode::per_shot,
+          exec_mode::noisy}) {
+        if (text == exec_mode_name(candidate)) {
+            mode = candidate;
+            return true;
+        }
+    }
+    return false;
+}
+
+bool parse_detector_flag(util::flag_cursor& args, quorum_config& config) {
+    const std::string_view flag = args.flag();
+    if (flag == "--groups") {
+        args.count(config.ensemble_groups);
+    } else if (flag == "--shots") {
+        args.count(config.shots);
+    } else if (flag == "--qubits") {
+        args.count(config.n_qubits);
+    } else if (flag == "--rate") {
+        args.real(config.estimated_anomaly_rate);
+    } else if (flag == "--bucket-prob") {
+        args.real(config.bucket_probability);
+    } else if (flag == "--seed") {
+        args.count(config.seed);
+    } else if (flag == "--mode") {
+        const std::string_view text = args.value();
+        if (!parse_exec_mode(text, config.mode)) {
+            args.reject(text, "exact | sampled | per_shot | noisy");
+        }
+    } else if (flag == "--encoding") {
+        const std::string_view text = args.value();
+        if (!qml::parse_encoding(text, config.encoding)) {
+            args.reject(text, "amplitude | angle");
+        }
+    } else if (flag == "--backend") {
+        config.backend = args.value();
+    } else if (flag == "--schedule") {
+        const std::string_view text = args.value();
+        try {
+            (void)exec::parse_schedule_spec(text);
+        } catch (const util::contract_error&) {
+            args.reject(text, "static | dynamic[:grain]");
+        }
+        config.schedule = text;
+    } else {
+        return false;
+    }
+    return true;
+}
+
+void print_detector_flags(std::ostream& out, const quorum_config& defaults) {
+    const auto flag = [&out](std::string_view name, std::string_view text,
+                             const auto& fallback) {
+        out << "  " << name << std::string(22 - name.size(), ' ') << text
+            << " (default " << fallback << ")\n";
+    };
+    flag("--groups N", "ensemble groups", defaults.ensemble_groups);
+    flag("--shots N", "shots per circuit", defaults.shots);
+    flag("--qubits N", "data-register qubits", defaults.n_qubits);
+    flag("--rate R", "estimated anomaly rate", defaults.estimated_anomaly_rate);
+    flag("--bucket-prob P", "bucket containment probability",
+         defaults.bucket_probability);
+    flag("--mode M", "exact | sampled | per_shot | noisy",
+         exec_mode_name(defaults.mode));
+    flag("--encoding E", "amplitude | angle",
+         qml::encoding_name(defaults.encoding));
+    flag("--backend B", "auto | NAME | sharded[:NAME] | remote[:NAME]",
+         defaults.backend);
+    out << std::string(24, ' ') << "registered NAMEs:";
+    for (const std::string& name : exec::backend_names()) {
+        out << " " << name;
+    }
+    out << "\n";
+    flag("--schedule S", "lane spans: static | dynamic[:grain]",
+         defaults.schedule);
+    flag("--seed S", "master seed", defaults.seed);
 }
 
 const char* feature_strategy_name(feature_strategy s) noexcept {

@@ -6,12 +6,18 @@
 #define QUORUM_CORE_CONFIG_H
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "exec/executor.h"
 #include "qml/angle_encoding.h"
 #include "qsim/noise.h"
+
+namespace quorum::util {
+class flag_cursor;
+} // namespace quorum::util
 
 namespace quorum::core {
 
@@ -32,6 +38,11 @@ enum class exec_mode {
 
 /// Human-readable mode name.
 [[nodiscard]] const char* exec_mode_name(exec_mode mode) noexcept;
+
+/// Strict parse of a mode name (the exec_mode_name spellings). Returns
+/// false (leaving `mode` untouched) on anything else; never throws.
+[[nodiscard]] bool parse_exec_mode(std::string_view text,
+                                   exec_mode& mode) noexcept;
 
 /// How each ensemble group picks its m = 2^n - 1 features.
 enum class feature_strategy {
@@ -131,6 +142,19 @@ struct quorum_config {
     /// Throws util::contract_error on an inconsistent configuration.
     void validate() const;
 };
+
+/// The detector flags every front-end shares: --groups --shots --qubits
+/// --rate --bucket-prob --mode --encoding --backend --schedule --seed.
+/// When the cursor's flag is one of them, stores its value in `config`
+/// and returns true; returns false for any other flag. A missing or
+/// malformed value (a --schedule parse_schedule_spec rejects included)
+/// throws util::contract_error; values that parse but make an
+/// inconsistent configuration are left to validate().
+bool parse_detector_flag(util::flag_cursor& args, quorum_config& config);
+
+/// Prints the shared flags' usage lines, each default read from
+/// `defaults` (the tool's starting configuration).
+void print_detector_flags(std::ostream& out, const quorum_config& defaults);
 
 } // namespace quorum::core
 

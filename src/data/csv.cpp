@@ -8,6 +8,7 @@
 
 #include "data/preprocess.h"
 #include "util/contracts.h"
+#include "util/parse.h"
 
 namespace quorum::data {
 
@@ -37,16 +38,8 @@ double parse_cell(const std::string& cell) {
     if (cell.empty()) {
         return 0.0;
     }
-    try {
-        std::size_t consumed = 0;
-        const double value = std::stod(cell, &consumed);
-        if (consumed == cell.size()) {
-            return value;
-        }
-    } catch (const std::exception&) {
-        // fall through to hashing
-    }
-    return hash_category(cell);
+    double value = 0.0;
+    return util::parse_real(cell, value) ? value : hash_category(cell);
 }
 
 } // namespace

@@ -1,10 +1,11 @@
 #include "exec/serve_client.h"
 
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 
 #include "exec/transport.h"
 #include "util/contracts.h"
+#include "util/parse.h"
 
 namespace quorum::exec {
 
@@ -14,18 +15,37 @@ std::string serve_format_double(double value) {
     return buffer;
 }
 
-bool serve_parse_double(const std::string& text, double& value) {
-    if (text.empty()) {
+bool serve_parse_request_header(std::string_view line, std::size_t& rows,
+                                std::size_t& cols) {
+    const std::string prefix = std::string(serve_protocol_tag) + " SCORE ";
+    if (!line.starts_with(prefix)) {
         return false;
     }
-    char* end = nullptr;
-    errno = 0;
-    const double parsed = std::strtod(text.c_str(), &end);
-    if (end != text.c_str() + text.size()) {
+    const std::string_view counts = line.substr(prefix.size());
+    const std::size_t space = counts.find(' ');
+    if (space == std::string_view::npos ||
+        !util::parse_count(counts.substr(0, space), rows) ||
+        !util::parse_count(counts.substr(space + 1), cols)) {
         return false;
     }
-    value = parsed;
-    return true;
+    return rows >= 1 && rows <= serve_max_rows && cols >= 1 &&
+           cols <= serve_max_cols;
+}
+
+bool serve_parse_feature_row(std::string_view line, std::size_t cols,
+                             std::vector<double>& row) {
+    row.clear();
+    std::size_t begin = 0;
+    while (begin <= line.size() && row.size() < cols) {
+        const std::size_t end = std::min(line.find(',', begin), line.size());
+        double value = 0.0;
+        if (!util::parse_real(line.substr(begin, end - begin), value)) {
+            return false;
+        }
+        row.push_back(value);
+        begin = end + 1;
+    }
+    return row.size() == cols && begin > line.size();
 }
 
 serve_client::serve_client(const util::endpoint& server, int timeout_ms)
@@ -80,11 +100,10 @@ serve_client::score(const std::vector<std::vector<double>>& rows) {
         QUORUM_EXPECTS_MSG(line.rfind(ok_prefix, 0) == 0,
                            "quorum_serve at " + peer_ +
                                " sent a malformed reply: " + line);
-        double count_value = 0.0;
+        std::size_t count = 0;
         QUORUM_EXPECTS_MSG(
-            serve_parse_double(line.substr(ok_prefix.size()),
-                               count_value) &&
-                count_value == static_cast<double>(rows.size()),
+            util::parse_count(line.substr(ok_prefix.size()), count) &&
+                count == rows.size(),
             "quorum_serve at " + peer_ +
                 " replied with the wrong row count: " + line);
         std::vector<double> scores;
@@ -95,7 +114,7 @@ serve_client::score(const std::vector<std::vector<double>>& rows) {
                                       ": server closed mid-reply");
             }
             double score_value = 0.0;
-            QUORUM_EXPECTS_MSG(serve_parse_double(line, score_value),
+            QUORUM_EXPECTS_MSG(util::parse_real(line, score_value),
                                "quorum_serve at " + peer_ +
                                    " sent a malformed score line: " +
                                    line);

@@ -17,6 +17,7 @@
 #ifndef QUORUM_EXEC_SERVE_CLIENT_H
 #define QUORUM_EXEC_SERVE_CLIENT_H
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -32,10 +33,22 @@ inline constexpr std::string_view serve_protocol_tag = "QSRV1";
 /// pattern (%.17g — shared with the golden-fixture format).
 [[nodiscard]] std::string serve_format_double(double value);
 
-/// Strict double parse (whole token, no trailing garbage). Returns false
-/// instead of throwing — both protocol ends parse untrusted text.
-[[nodiscard]] bool serve_parse_double(const std::string& text,
-                                      double& value);
+/// Caps a request may reach: rows x cols beyond them is a client error.
+inline constexpr std::size_t serve_max_rows = 100000;
+inline constexpr std::size_t serve_max_cols = 4096;
+
+/// Parses a "QSRV1 SCORE <rows> <cols>" request header. Returns false
+/// for any other line and for counts outside [1, serve_max_*]; never
+/// throws — the server parses untrusted text.
+[[nodiscard]] bool serve_parse_request_header(std::string_view line,
+                                              std::size_t& rows,
+                                              std::size_t& cols);
+
+/// Parses one request row: exactly `cols` comma-separated numbers, each
+/// a whole util::parse_real token. Returns false on anything else.
+[[nodiscard]] bool serve_parse_feature_row(std::string_view line,
+                                           std::size_t cols,
+                                           std::vector<double>& row);
 
 class serve_client {
 public:

@@ -1,7 +1,6 @@
 #include "qsim/qasm.h"
 
 #include <cctype>
-#include <cstdlib>
 #include <iomanip>
 #include <istream>
 #include <map>
@@ -11,6 +10,7 @@
 
 #include "qsim/transpile.h"
 #include "util/contracts.h"
+#include "util/parse.h"
 
 namespace quorum::qsim {
 
@@ -165,9 +165,8 @@ double parse_angle(std::string expr, std::size_t line) {
     const std::size_t pi_at = body.find("pi");
     if (pi_at == std::string::npos) {
         // Plain literal.
-        char* end = nullptr;
-        const double value = std::strtod(body.c_str(), &end);
-        if (end == nullptr || *end != '\0') {
+        double value = 0.0;
+        if (!util::parse_real(body, value)) {
             parse_fail(line, "bad numeric literal '" + body + "'");
         }
         return sign * value;
@@ -179,9 +178,7 @@ double parse_angle(std::string expr, std::size_t line) {
             parse_fail(line, "expected '*' before pi in '" + body + "'");
         }
         const std::string coefficient = body.substr(0, pi_at - 1);
-        char* end = nullptr;
-        factor = std::strtod(coefficient.c_str(), &end);
-        if (end == nullptr || *end != '\0') {
+        if (!util::parse_real(coefficient, factor)) {
             parse_fail(line, "bad pi coefficient '" + coefficient + "'");
         }
     }
@@ -192,9 +189,7 @@ double parse_angle(std::string expr, std::size_t line) {
             parse_fail(line, "expected '/' after pi in '" + body + "'");
         }
         const std::string denominator = body.substr(after_pi + 1);
-        char* end = nullptr;
-        divisor = std::strtod(denominator.c_str(), &end);
-        if (end == nullptr || *end != '\0' || divisor == 0.0) {
+        if (!util::parse_real(denominator, divisor) || divisor == 0.0) {
             parse_fail(line, "bad pi divisor '" + denominator + "'");
         }
     }
@@ -207,11 +202,11 @@ double parse_angle(std::string expr, std::size_t line) {
 /// as parse errors instead of overflowing.
 std::size_t parse_index_token(const std::string& token, std::size_t line,
                               const std::string& what) {
-    if (token.empty() || token.size() > 9 ||
-        token.find_first_not_of("0123456789") != std::string::npos) {
+    std::size_t index = 0;
+    if (token.size() > 9 || !util::parse_count(token, index)) {
         parse_fail(line, "bad " + what + " index '" + token + "'");
     }
-    return static_cast<std::size_t>(std::strtoul(token.c_str(), nullptr, 10));
+    return index;
 }
 
 /// Parses "q[K]" and returns K.

@@ -58,6 +58,18 @@ TEST(Csv, HashesNonNumericCells) {
     EXPECT_DOUBLE_EQ(d.at(1, 1), 2.0);
 }
 
+TEST(Csv, OverflowingNumbersHashLikeText) {
+    // 1e999 is no binary64 value, so it is a category token; 1e-999
+    // underflows to zero, which is.
+    std::istringstream in("1e999,-1e999,1e-999\n");
+    csv_options options;
+    options.has_header = false;
+    const dataset d = read_csv(in, options);
+    EXPECT_EQ(d.at(0, 0), hash_category("1e999"));
+    EXPECT_EQ(d.at(0, 1), hash_category("-1e999"));
+    EXPECT_EQ(d.at(0, 2), 0.0);
+}
+
 TEST(Csv, EmptyCellsBecomeZero) {
     std::istringstream in("a,b\n,2\n3,\n");
     csv_options options;
@@ -107,13 +119,15 @@ TEST(Csv, RoundTripPreservesValuesAndLabels) {
 }
 
 TEST(Csv, RoundTripKeepsEveryBit) {
-    // Values that 6 significant digits would round, plus the extremes.
+    // Values that 6 significant digits would round, plus the extremes and
+    // subnormals (strtod flags those with ERANGE; they are still values).
     const std::vector<std::vector<double>> rows = {
         {0.1, 1.0 / 3.0, 2.0 / 3.0},
         {0.1 + 0.2, -0.0, 1e-300},
         {123456.78901234567, std::numeric_limits<double>::max(),
-         -std::numeric_limits<double>::epsilon()}};
-    const dataset original = dataset::from_rows(rows, {1, 0, 1});
+         -std::numeric_limits<double>::epsilon()},
+        {5e-324, 1e-310, 2.2250738585072009e-308}};
+    const dataset original = dataset::from_rows(rows, {1, 0, 1, 0});
     std::ostringstream out;
     write_csv(out, original);
 

@@ -191,6 +191,17 @@ TEST(QasmParse, RejectsMalformedPrograms) {
                  quorum::util::contract_error); // wrong arity
 }
 
+TEST(QasmParse, RejectsEmptyAndOverflowingAngles) {
+    // Angle literals use util::parse_real: a bare sign or an empty pi
+    // coefficient is no number, and 1e999 overflows binary64.
+    const std::string head = "OPENQASM 2.0;\nqreg q[1];\nrz(";
+    for (const char* angle : {"-", "*pi", "1e999", "-1e999*pi"}) {
+        SCOPED_TRACE(angle);
+        EXPECT_THROW((void)from_qasm(head + angle + ") q[0];\n"),
+                     quorum::util::contract_error);
+    }
+}
+
 TEST(QasmParse, WrongOperandCountRejected) {
     EXPECT_THROW(
         (void)from_qasm("OPENQASM 2.0;\nqreg q[3];\nrx q[0];\n"),

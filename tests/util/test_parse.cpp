@@ -5,7 +5,9 @@
 // and trailing junk.
 #include "util/parse.h"
 
+#include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
 #include <string>
 
@@ -70,6 +72,53 @@ TEST(Parse, RealConsumesWholeString) {
     EXPECT_FALSE(util::parse_real("banana", value));
     EXPECT_FALSE(util::parse_real("0.5abc", value));
     EXPECT_FALSE(util::parse_real("0.5 ", value));
+    EXPECT_FALSE(util::parse_real(std::string("0.5\0", 4), value));
+    // Subnormals and an underflow to zero are values (strtod flags them
+    // with ERANGE all the same).
+    for (const char* text :
+         {"5e-324", "1e-310", "2.2250738585072009e-308", "-4.9e-324"}) {
+        EXPECT_TRUE(util::parse_real(text, value)) << text;
+        EXPECT_EQ(value, std::strtod(text, nullptr)) << text;
+        EXPECT_NE(value, 0.0) << text;
+    }
+    EXPECT_TRUE(util::parse_real("1e-400", value));
+    EXPECT_EQ(value, 0.0);
+    // An overflow to ±HUGE_VAL is not; a literal infinity still is.
+    double untouched = 0.25;
+    EXPECT_FALSE(util::parse_real("1e999", untouched));
+    EXPECT_FALSE(util::parse_real("-1e999", untouched));
+    EXPECT_EQ(untouched, 0.25);
+    EXPECT_TRUE(util::parse_real("inf", value));
+    EXPECT_TRUE(std::isinf(value));
+    EXPECT_TRUE(util::parse_real("1.7976931348623157e308", value));
+    EXPECT_EQ(value, std::numeric_limits<double>::max());
+}
+
+TEST(Parse, FlagCursorReportsOneMessageForm) {
+    const char* argv[] = {"tool", "--n", "7", "--x", "4y", "--last"};
+    util::flag_cursor args(6, argv);
+    ASSERT_TRUE(args.next());
+    EXPECT_EQ(args.flag(), "--n");
+    std::size_t n = 0;
+    args.count(n);
+    EXPECT_EQ(n, 7u);
+    ASSERT_TRUE(args.next());
+    const auto message = [&](auto&& step) {
+        try {
+            step();
+        } catch (const util::contract_error& error) {
+            return std::string(error.what());
+        }
+        return std::string("no error");
+    };
+    EXPECT_EQ(message([&] { args.count(n); }), "invalid value for --x: 4y");
+    ASSERT_TRUE(args.next());
+    EXPECT_EQ(args.flag(), "--last");
+    EXPECT_EQ(message([&] { (void)args.value(); }), "missing value for --last");
+    EXPECT_EQ(message([&] { args.reject("v", "a | b"); }),
+              "invalid value for --last: v (a | b)");
+    EXPECT_EQ(message([&] { args.unknown(); }), "unknown option: --last");
+    EXPECT_FALSE(args.next());
 }
 
 TEST(Parse, IntAcceptsNegativesButNotGarbage) {

@@ -1,74 +1,32 @@
 // quorum_cli — run Quorum anomaly detection from the command line.
 //
 //   quorum_cli --input data.csv [options]
+//   quorum_cli --demo [options]
 //
-// Options:
-//   --input PATH          CSV file to score (required unless --demo)
-//   --out PATH            scores CSV (default: quorum_scores.csv;
-//                         --output is an alias)
-//   --label-column K      0/1 label column for evaluation (-1 = none)
-//   --no-header           input has no header row
-//   --groups N            ensemble groups (default 300)
-//   --shots N             shots per circuit (default 4096)
-//   --qubits N            register size (default 3)
-//   --rate R              estimated anomaly rate (default 0.03)
-//   --bucket-prob P       bucket containment probability (default 0.75)
-//   --mode M              exact | sampled | per_shot | noisy (default sampled)
-//   --encoding E          amplitude (paper §IV-B, 2^n - 1 features per
-//                         register) or angle (one RY(pi·f) per qubit, n
-//                         features per register, O(n) prep depth;
-//                         default amplitude)
-//   --backend B           execution engine: auto | statevector | density |
-//                         sharded[:inner] | remote[:inner] | any registered
-//                         backend (default auto)
-//   --shards N            lanes for the sharded/remote backends: every
-//                         batch is split across N in-process shards or N
-//                         quorum_worker processes (default: all cores;
-//                         ignored by plain backends)
-//   --workers N           alias for --shards (reads better with --backend
-//                         remote:...)
-//   --schedule S          span planning for the sharded/remote backends:
-//                         static (one balanced span per lane) or
-//                         dynamic[:grain] (grain-sample spans pulled from
-//                         a shared queue; absorbs skew). Scores are
-//                         identical either way (default static)
-//   --threads N           worker threads (default: all cores)
-//   --no-fused            evaluate compression levels one batch at a time
-//                         instead of through the fused multi-level path
-//                         (identical scores; A/B validation hatch)
-//   --seed S              master seed (default 2025)
-//   --top K               print the K strongest suspects (default 10)
-//   --demo                run on a bundled synthetic dataset instead
-//   --qasm PATH           also dump one example circuit as OpenQASM 2.0
-//   --help                this text
+// `quorum_cli --help` lists every flag; tools/README.md explains them.
 #include <algorithm>
-#include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <string>
+#include <string_view>
 
 #include "core/quorum.h"
 #include "data/csv.h"
 #include "data/generators.h"
-#include "exec/registry.h"
 #include "exec/remote_backend.h"
 #include "exec/schedule.h"
 #include "exec/sharded_backend.h"
 #include "metrics/confusion.h"
-#include "metrics/detection_curve.h"
 #include "metrics/report.h"
 #include "metrics/roc.h"
-#include "qml/amplitude_encoding.h"
 #include "qml/angle_encoding.h"
 #include "qml/ansatz.h"
 #include "qml/autoencoder.h"
 #include "qsim/qasm.h"
+#include "util/contracts.h"
 #include "util/parse.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace {
@@ -81,80 +39,49 @@ struct cli_options {
     bool has_header = true;
     bool demo = false;
     std::size_t top = 10;
-    quorum::core::quorum_config config;
+    quorum::core::quorum_config config = [] {
+        quorum::core::quorum_config config;
+        config.ensemble_groups = 300;
+        config.mode = quorum::core::exec_mode::sampled;
+        return config;
+    }();
 };
 
 void print_usage() {
     std::cout <<
         "quorum_cli — zero-training unsupervised quantum anomaly detection\n"
         "\n"
-        "  quorum_cli --input data.csv [--out scores.csv]\n"
-        "             [--label-column K] [--no-header]\n"
-        "             [--groups N] [--shots N] [--qubits N] [--rate R]\n"
-        "             [--bucket-prob P] [--mode exact|sampled|per_shot|noisy]\n"
-        "             [--encoding amplitude|angle]\n"
-        "             [--backend auto|NAME|sharded:NAME|remote:NAME]\n"
-        "             [--shards N] [--workers N]\n"
-        "             [--schedule static|dynamic[:grain]]\n"
-        "             [--threads N] [--no-fused] [--seed S]\n"
-        "             [--top K] [--qasm out.qasm]\n"
-        "  quorum_cli --demo\n"
+        "  quorum_cli --input data.csv [options]\n"
+        "  quorum_cli --demo [options]\n"
         "\n"
-        "registered backends:";
-    for (const std::string& name : quorum::exec::backend_names()) {
-        std::cout << " " << name;
-    }
-    std::cout << "\n";
+        "  --input PATH          CSV file to score (required unless --demo)\n"
+        "  --demo                score a bundled synthetic dataset instead\n"
+        "  --out PATH            scores CSV (default quorum_scores.csv;\n"
+        "                        --output is an alias)\n"
+        "  --label-column K      0/1 label column for evaluation (-1 = "
+        "none)\n"
+        "  --no-header           input has no header row\n"
+        "  --top K               print the K strongest suspects (default "
+        "10)\n"
+        "  --qasm PATH           also dump one example circuit as OpenQASM "
+        "2.0\n"
+        "  --shards N            lanes for the sharded/remote backends "
+        "(default:\n"
+        "                        all cores; --workers is an alias)\n"
+        "  --threads N           worker threads (default: all cores)\n"
+        "  --no-fused            evaluate compression levels one batch at a "
+        "time\n"
+        "                        (identical scores; A/B validation hatch)\n"
+        "  --help                this text\n";
+    quorum::core::print_detector_flags(std::cout, cli_options{}.config);
 }
 
-// Strict flag parsing (whole string consumed, range checked, no silent
-// wraparound) lives in util/parse.h, shared with quorum_worker and
-// quorum_serve.
-using quorum::util::parse_count;
-using quorum::util::parse_int;
-using quorum::util::parse_real;
-
-bool parse_mode(const std::string& text, quorum::core::exec_mode& mode) {
-    using quorum::core::exec_mode;
-    if (text == "exact") {
-        mode = exec_mode::exact;
-    } else if (text == "sampled") {
-        mode = exec_mode::sampled;
-    } else if (text == "per_shot") {
-        mode = exec_mode::per_shot;
-    } else if (text == "noisy") {
-        mode = exec_mode::noisy;
-    } else {
-        return false;
-    }
-    return true;
-}
-
-bool parse_arguments(int argc, char** argv, cli_options& options) {
-    options.config.ensemble_groups = 300;
-    options.config.mode = quorum::core::exec_mode::sampled;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto next = [&]() -> const char* {
-            if (i + 1 >= argc) {
-                std::cerr << "missing value for " << arg << "\n";
-                return nullptr;
-            }
-            return argv[++i];
-        };
-        // Consumes the next argument as a non-negative integer.
-        const auto next_count = [&](auto& out) -> bool {
-            const char* v = next();
-            if (v == nullptr) {
-                return false;
-            }
-            if (!parse_count(v, out)) {
-                std::cerr << "invalid value for " << arg << ": " << v
-                          << "\n";
-                return false;
-            }
-            return true;
-        };
+void parse_arguments(int argc, char** argv, cli_options& options) {
+    for (quorum::util::flag_cursor args(argc, argv); args.next();) {
+        const std::string_view arg = args.flag();
+        if (quorum::core::parse_detector_flag(args, options.config)) {
+            continue;
+        }
         if (arg == "--help" || arg == "-h") {
             print_usage();
             std::exit(0);
@@ -163,120 +90,29 @@ bool parse_arguments(int argc, char** argv, cli_options& options) {
         } else if (arg == "--no-header") {
             options.has_header = false;
         } else if (arg == "--input") {
-            const char* v = next();
-            if (v == nullptr) {
-                return false;
-            }
-            options.input = v;
+            options.input = args.value();
         } else if (arg == "--out" || arg == "--output") {
-            const char* v = next();
-            if (v == nullptr) {
-                return false;
-            }
-            options.output = v;
+            options.output = args.value();
         } else if (arg == "--qasm") {
-            const char* v = next();
-            if (v == nullptr) {
-                return false;
-            }
-            options.qasm_path = v;
+            options.qasm_path = args.value();
         } else if (arg == "--label-column") {
-            const char* v = next();
-            if (v == nullptr || !parse_int(v, options.label_column)) {
-                if (v != nullptr) {
-                    std::cerr << "invalid value for " << arg << ": " << v
-                              << "\n";
-                }
-                return false;
-            }
-        } else if (arg == "--groups") {
-            if (!next_count(options.config.ensemble_groups)) {
-                return false;
-            }
-        } else if (arg == "--shots") {
-            if (!next_count(options.config.shots)) {
-                return false;
-            }
-        } else if (arg == "--qubits") {
-            if (!next_count(options.config.n_qubits)) {
-                return false;
-            }
-        } else if (arg == "--rate") {
-            const char* v = next();
-            if (v == nullptr ||
-                !parse_real(v, options.config.estimated_anomaly_rate)) {
-                if (v != nullptr) {
-                    std::cerr << "invalid value for " << arg << ": " << v
-                              << "\n";
-                }
-                return false;
-            }
-        } else if (arg == "--bucket-prob") {
-            const char* v = next();
-            if (v == nullptr ||
-                !parse_real(v, options.config.bucket_probability)) {
-                if (v != nullptr) {
-                    std::cerr << "invalid value for " << arg << ": " << v
-                              << "\n";
-                }
-                return false;
-            }
+            args.integer(options.label_column);
+        } else if (arg == "--top") {
+            args.count(options.top);
         } else if (arg == "--threads") {
-            if (!next_count(options.config.threads)) {
-                return false;
-            }
+            args.count(options.config.threads);
         } else if (arg == "--shards" || arg == "--workers") {
-            if (!next_count(options.config.shards)) {
-                return false;
-            }
+            args.count(options.config.shards);
         } else if (arg == "--no-fused") {
             options.config.fused_levels = false;
-        } else if (arg == "--seed") {
-            if (!next_count(options.config.seed)) {
-                return false;
-            }
-        } else if (arg == "--top") {
-            if (!next_count(options.top)) {
-                return false;
-            }
-        } else if (arg == "--mode") {
-            const char* v = next();
-            if (v == nullptr || !parse_mode(v, options.config.mode)) {
-                std::cerr << "unknown mode\n";
-                return false;
-            }
-        } else if (arg == "--encoding") {
-            const char* v = next();
-            if (v == nullptr ||
-                !quorum::qml::parse_encoding(v, options.config.encoding)) {
-                if (v != nullptr) {
-                    std::cerr << "unknown encoding: " << v
-                              << " (amplitude | angle)\n";
-                }
-                return false;
-            }
-        } else if (arg == "--backend") {
-            const char* v = next();
-            if (v == nullptr) {
-                return false;
-            }
-            options.config.backend = v;
-        } else if (arg == "--schedule") {
-            const char* v = next();
-            if (v == nullptr) {
-                return false;
-            }
-            options.config.schedule = v;
         } else {
-            std::cerr << "unknown option: " << arg << "\n";
-            return false;
+            args.unknown();
         }
     }
     if (!options.demo && options.input.empty()) {
-        std::cerr << "either --input or --demo is required\n";
-        return false;
+        throw quorum::util::contract_error(
+            "either --input or --demo is required");
     }
-    return true;
 }
 
 } // namespace
@@ -285,14 +121,9 @@ int main(int argc, char** argv) {
     using namespace quorum;
     cli_options options;
     try {
-        if (!parse_arguments(argc, argv, options)) {
-            print_usage();
-            return 2;
-        }
-    } catch (const std::exception& error) {
-        // Belt-and-braces: every flag parses via the strict helpers
-        // above, but a future parser regression must still exit 2.
-        std::cerr << "bad option value: " << error.what() << "\n";
+        parse_arguments(argc, argv, options);
+    } catch (const util::contract_error& error) {
+        std::cerr << error.what() << "\n";
         print_usage();
         return 2;
     }

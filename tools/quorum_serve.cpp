@@ -19,13 +19,17 @@
 //
 // stdout carries exactly three parseable startup lines (registry
 // address, worker count, serving address); logs go to stderr.
+//
+// `quorum_serve --help` lists every flag; tools/README.md explains them.
 #include <atomic>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <iostream>
+#include <list>
 #include <memory>
-#include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -36,10 +40,8 @@
 #include "exec/fleet.h"
 #include "exec/process_transport.h"
 #include "exec/registry.h"
-#include "exec/schedule.h"
 #include "exec/serve_client.h"
 #include "exec/tcp_transport.h"
-#include "qml/angle_encoding.h"
 #include "util/contracts.h"
 #include "util/net.h"
 #include "util/parse.h"
@@ -49,7 +51,6 @@ namespace {
 namespace core = quorum::core;
 namespace data = quorum::data;
 namespace exec = quorum::exec;
-namespace qml = quorum::qml;
 namespace util = quorum::util;
 
 struct serve_options {
@@ -58,20 +59,18 @@ struct serve_options {
     std::uint16_t registry_port = 0; ///< 0 = ephemeral (printed)
     std::size_t workers = 2;         ///< locally spawned fleet workers
     std::vector<util::endpoint> connect_workers; ///< --listen workers
-    std::string backend = "auto";
     std::size_t max_queue = 64;
     int rejoin_attempts = 5;
     std::size_t max_requests = 0; ///< 0 = serve forever
-    core::quorum_config config;
+    core::quorum_config config = [] {
+        core::quorum_config config;
+        config.mode = core::exec_mode::sampled;
+        return config;
+    }();
 };
 
-/// Caps a client can hit without it being a config error on our side.
-constexpr std::size_t max_request_rows = 100000;
-constexpr std::size_t max_request_cols = 4096;
-
 void print_usage() {
-    std::fprintf(
-        stderr,
+    std::cerr <<
         "quorum_serve — persistent Quorum scoring daemon\n"
         "\n"
         "usage: quorum_serve [options]\n"
@@ -83,70 +82,79 @@ void print_usage() {
         "                        that dial the registry (default 2)\n"
         "  --connect-worker H:P  add a fleet lane to a running\n"
         "                        `quorum_worker --listen` (repeatable)\n"
-        "  --backend B           inner backend each worker runs: auto |\n"
-        "                        statevector | density (default auto)\n"
-        "  --schedule S          span planning across the fleet: static\n"
-        "                        (one balanced span per lane) or\n"
-        "                        dynamic[:grain] (grain-sample spans the\n"
-        "                        lanes pull; absorbs skew). Scores are\n"
-        "                        identical either way (default static)\n"
-        "  --mode M              exact | sampled | per_shot | noisy\n"
-        "                        (default sampled)\n"
-        "  --encoding E          amplitude | angle (default amplitude)\n"
-        "  --groups N            ensemble groups (default 200)\n"
-        "  --shots N             shots per circuit (default 4096)\n"
-        "  --qubits N            data-register qubits (default 3)\n"
-        "  --rate R              estimated anomaly rate (default 0.03)\n"
-        "  --bucket-prob P       bucket probability target (default 0.75)\n"
         "  --threads N           ensemble threads per request (default\n"
         "                        all cores)\n"
-        "  --seed S              master seed (default 2025)\n"
         "  --max-queue N         pending-span backpressure bound\n"
         "                        (default 64)\n"
         "  --rejoin-attempts N   reconnect budget per worker death\n"
         "                        (default 5)\n"
         "  --max-requests N      exit after N scored requests (default\n"
         "                        0 = serve forever)\n"
+        "  --help                this text\n"
+        "scoring (--backend names the plain engine each worker runs):\n";
+    core::print_detector_flags(std::cerr, serve_options{}.config);
+    std::cerr <<
         "\n"
         "Protocol (one TCP connection = one session; see\n"
         "docs/ARCHITECTURE.md):\n"
         "  -> QSRV1 SCORE <rows> <cols>\\n + <rows> CSV feature lines\n"
-        "  <- QSRV1 OK <rows>\\n + <rows> score lines (%%.17g), or\n"
-        "     QSRV1 ERR <message>\\n\n");
+        "  <- QSRV1 OK <rows>\\n + <rows> score lines (%.17g), or\n"
+        "     QSRV1 ERR <message>\\n\n";
 }
 
-// Strict shared helpers (util/parse.h): the old local strtoull version
-// silently wrapped "--workers -1" to 2^64 - 1.
-bool parse_count(const char* text, std::size_t& value) {
-    return text != nullptr && util::parse_count(text, value);
-}
-
-bool parse_real(const char* text, double& value) {
-    return text != nullptr && util::parse_real(text, value);
-}
-
-bool parse_mode(const std::string& text, core::exec_mode& mode) {
-    if (text == "exact") {
-        mode = core::exec_mode::exact;
-    } else if (text == "sampled") {
-        mode = core::exec_mode::sampled;
-    } else if (text == "per_shot") {
-        mode = core::exec_mode::per_shot;
-    } else if (text == "noisy") {
-        mode = core::exec_mode::noisy;
-    } else {
-        return false;
+void parse_port(util::flag_cursor& args, std::uint16_t& port) {
+    const std::string_view text = args.value();
+    if (!util::parse_count(text, port)) {
+        args.reject(text);
     }
-    return true;
 }
 
-bool parse_port(const char* text, std::uint16_t& port) {
-    std::size_t value = 0;
-    if (!parse_count(text, value) || value > 65535) {
-        return false;
+void parse_arguments(int argc, char** argv, serve_options& options) {
+    for (util::flag_cursor args(argc, argv); args.next();) {
+        const std::string_view arg = args.flag();
+        if (core::parse_detector_flag(args, options.config)) {
+            continue;
+        }
+        if (arg == "--help" || arg == "-h") {
+            print_usage();
+            std::exit(0);
+        } else if (arg == "--port") {
+            parse_port(args, options.port);
+        } else if (arg == "--host") {
+            options.host = args.value();
+        } else if (arg == "--registry-port") {
+            parse_port(args, options.registry_port);
+        } else if (arg == "--workers") {
+            args.count(options.workers);
+        } else if (arg == "--connect-worker") {
+            const std::string text(args.value());
+            try {
+                options.connect_workers.push_back(util::parse_endpoint(text));
+            } catch (const util::contract_error&) {
+                args.reject(text, "[host:]port, numeric IPv4");
+            }
+        } else if (arg == "--threads") {
+            args.count(options.config.threads);
+        } else if (arg == "--max-queue") {
+            args.count(options.max_queue);
+        } else if (arg == "--rejoin-attempts") {
+            args.count(options.rejoin_attempts);
+        } else if (arg == "--max-requests") {
+            args.count(options.max_requests);
+        } else {
+            args.unknown();
+        }
     }
-    port = static_cast<std::uint16_t>(value);
-    return true;
+    if (!exec::is_plain_backend_name(options.config.backend)) {
+        throw util::contract_error(
+            "--backend must be a plain engine name (the fleet does the "
+            "distribution)");
+    }
+    if (options.workers + options.connect_workers.size() == 0) {
+        throw util::contract_error(
+            "a fleet needs at least one worker (--workers or "
+            "--connect-worker)");
+    }
 }
 
 /// Forks one local fleet worker that dials the registry. Called before
@@ -167,27 +175,6 @@ void spawn_registry_worker(const std::string& binary,
     }
     // No pid bookkeeping: SIGCHLD is SIG_IGN (no zombies), and workers
     // exit on the fleet's shutdown message or after their retry budget.
-}
-
-/// Splits a CSV feature line with strict numeric parsing.
-bool parse_feature_row(const std::string& line, std::size_t cols,
-                       std::vector<double>& row) {
-    row.clear();
-    std::size_t begin = 0;
-    while (begin <= line.size()) {
-        std::size_t end = line.find(',', begin);
-        if (end == std::string::npos) {
-            end = line.size();
-        }
-        double value = 0.0;
-        if (!exec::serve_parse_double(line.substr(begin, end - begin),
-                                      value)) {
-            return false;
-        }
-        row.push_back(value);
-        begin = end + 1;
-    }
-    return row.size() == cols;
 }
 
 struct serve_state {
@@ -213,29 +200,17 @@ void handle_client(util::unique_fd fd, serve_state& state) {
             bool fatal = false;
             std::size_t rows = 0;
             std::size_t cols = 0;
-            const std::string prefix = tag + " SCORE ";
-            if (line.rfind(prefix, 0) != 0) {
+            if (!exec::serve_parse_request_header(line, rows, cols)) {
                 reply = tag + " ERR malformed request header\n";
                 fatal = true;
-            } else {
-                const std::string counts = line.substr(prefix.size());
-                const std::size_t space = counts.find(' ');
-                if (space == std::string::npos ||
-                    !parse_count(counts.substr(0, space).c_str(), rows) ||
-                    !parse_count(counts.substr(space + 1).c_str(),
-                                 cols) ||
-                    rows < 1 || rows > max_request_rows || cols < 1 ||
-                    cols > max_request_cols) {
-                    reply = tag + " ERR malformed request header\n";
-                    fatal = true;
-                }
             }
             std::vector<std::vector<double>> features;
             if (!fatal) {
                 features.resize(rows);
                 for (std::size_t i = 0; i < rows && !fatal; ++i) {
                     if (!reader.read_line(line) ||
-                        !parse_feature_row(line, cols, features[i])) {
+                        !exec::serve_parse_feature_row(line, cols,
+                                                       features[i])) {
                         reply = tag + " ERR malformed feature row " +
                                 std::to_string(i) + "\n";
                         fatal = true;
@@ -298,13 +273,11 @@ void handle_client(util::unique_fd fd, serve_state& state) {
 }
 
 int run(const serve_options& options) {
+    // Before anything starts, so a bad configuration costs no fleet.
+    options.config.validate();
+
     // --- fleet ----------------------------------------------------------
-    const std::string inner =
-        options.backend == "auto"
-            ? (options.config.mode == core::exec_mode::noisy
-                   ? "density"
-                   : "statevector")
-            : options.backend;
+    const std::string inner = options.config.resolved_backend();
     exec::fleet_config fleet_config;
     fleet_config.inner = inner;
     fleet_config.engine = options.config.to_engine_config();
@@ -325,7 +298,6 @@ int run(const serve_options& options) {
     state.config.backend = "fleet";
     state.fleet = fleet;
     state.max_requests = options.max_requests;
-    state.config.validate();
 
     // --- workers --------------------------------------------------------
     util::unique_fd registry = util::listen_tcp(
@@ -389,20 +361,35 @@ int run(const serve_options& options) {
                  state.config.ensemble_groups);
     std::fflush(stdout);
 
-    std::vector<std::thread> handlers;
+    // One thread per connection. Finished ones are joined on every pass
+    // of the accept loop: an unjoined thread keeps its stack mapped.
+    struct handler {
+        std::thread thread;
+        std::atomic<bool> done{false};
+    };
+    std::list<handler> handlers;
     while (state.max_requests == 0 ||
            state.served.load() < state.max_requests) {
+        std::erase_if(handlers, [](handler& h) {
+            if (!h.done.load()) {
+                return false;
+            }
+            h.thread.join();
+            return true;
+        });
         util::unique_fd conn = util::accept_tcp(listener.get(), 200);
         if (!conn.valid()) {
             continue; // poll tick: re-check the request budget
         }
-        handlers.emplace_back(
-            [fd = std::move(conn), &state]() mutable {
+        handler& h = handlers.emplace_back();
+        h.thread = std::thread(
+            [fd = std::move(conn), &state, &done = h.done]() mutable {
                 handle_client(std::move(fd), state);
+                done.store(true);
             });
     }
-    for (std::thread& handler : handlers) {
-        handler.join();
+    for (handler& h : handlers) {
+        h.thread.join();
     }
     stop.store(true);
     registrar.join();
@@ -415,123 +402,11 @@ int run(const serve_options& options) {
 
 int main(int argc, char** argv) {
     serve_options options;
-    options.config.mode = core::exec_mode::sampled;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const char* value = i + 1 < argc ? argv[i + 1] : nullptr;
-        auto next = [&]() -> const char* {
-            ++i;
-            return value;
-        };
-        bool ok = true;
-        if (arg == "--help" || arg == "-h") {
-            print_usage();
-            return 0;
-        } else if (arg == "--port") {
-            ok = value != nullptr && parse_port(next(), options.port);
-        } else if (arg == "--host") {
-            ok = value != nullptr;
-            if (ok) {
-                options.host = next();
-            }
-        } else if (arg == "--registry-port") {
-            ok = value != nullptr &&
-                 parse_port(next(), options.registry_port);
-        } else if (arg == "--workers") {
-            ok = value != nullptr && parse_count(next(), options.workers);
-        } else if (arg == "--connect-worker") {
-            ok = value != nullptr;
-            if (ok) {
-                try {
-                    options.connect_workers.push_back(
-                        quorum::util::parse_endpoint(next()));
-                } catch (const quorum::util::contract_error& error) {
-                    std::fprintf(stderr, "quorum_serve: %s\n",
-                                 error.what());
-                    return 2;
-                }
-            }
-        } else if (arg == "--backend") {
-            ok = value != nullptr;
-            if (ok) {
-                options.backend = next();
-            }
-        } else if (arg == "--schedule") {
-            ok = value != nullptr;
-            if (ok) {
-                options.config.schedule = next();
-                try {
-                    (void)exec::parse_schedule_spec(
-                        options.config.schedule);
-                } catch (const util::contract_error& error) {
-                    std::fprintf(stderr, "quorum_serve: %s\n",
-                                 error.what());
-                    return 2;
-                }
-            }
-        } else if (arg == "--mode") {
-            ok = value != nullptr &&
-                 parse_mode(next(), options.config.mode);
-        } else if (arg == "--encoding") {
-            ok = value != nullptr &&
-                 qml::parse_encoding(next(), options.config.encoding);
-        } else if (arg == "--groups") {
-            ok = value != nullptr &&
-                 parse_count(next(), options.config.ensemble_groups);
-        } else if (arg == "--shots") {
-            ok = value != nullptr &&
-                 parse_count(next(), options.config.shots);
-        } else if (arg == "--qubits") {
-            ok = value != nullptr &&
-                 parse_count(next(), options.config.n_qubits);
-        } else if (arg == "--rate") {
-            ok = value != nullptr &&
-                 parse_real(next(),
-                            options.config.estimated_anomaly_rate);
-        } else if (arg == "--bucket-prob") {
-            ok = value != nullptr &&
-                 parse_real(next(), options.config.bucket_probability);
-        } else if (arg == "--threads") {
-            ok = value != nullptr &&
-                 parse_count(next(), options.config.threads);
-        } else if (arg == "--seed") {
-            std::size_t seed = 0;
-            ok = value != nullptr && parse_count(next(), seed);
-            options.config.seed = seed;
-        } else if (arg == "--max-queue") {
-            ok = value != nullptr &&
-                 parse_count(next(), options.max_queue);
-        } else if (arg == "--rejoin-attempts") {
-            ok = value != nullptr &&
-                 util::parse_count(next(), options.rejoin_attempts);
-        } else if (arg == "--max-requests") {
-            ok = value != nullptr &&
-                 parse_count(next(), options.max_requests);
-        } else {
-            std::fprintf(stderr, "quorum_serve: unknown option %s\n",
-                         arg.c_str());
-            print_usage();
-            return 2;
-        }
-        if (!ok) {
-            std::fprintf(stderr, "quorum_serve: bad value for %s\n",
-                         arg.c_str());
-            return 2;
-        }
-    }
-    if (options.backend != "auto" &&
-        (options.backend.find(':') != std::string::npos ||
-         options.backend == "sharded" || options.backend == "remote" ||
-         options.backend == "fleet")) {
-        std::fprintf(stderr,
-                     "quorum_serve: --backend must be a plain engine "
-                     "name (the fleet does the distribution)\n");
-        return 2;
-    }
-    if (options.workers + options.connect_workers.size() == 0) {
-        std::fprintf(stderr,
-                     "quorum_serve: a fleet needs at least one worker "
-                     "(--workers or --connect-worker)\n");
+    try {
+        parse_arguments(argc, argv, options);
+    } catch (const util::contract_error& error) {
+        std::cerr << error.what() << "\n";
+        print_usage();
         return 2;
     }
     // Dead clients surface as write errors, not SIGPIPE; dead worker

@@ -9,56 +9,24 @@
 // centres drift sinusoidally over time, with anomalies injected at the
 // target rate.
 //
-// Options:
-//   --input PATH          CSV whose rows arrive in order (else --demo)
-//   --scenario S          demo stream family: drift (drifting clusters,
-//                         default) or sensors (correlated multivariate
-//                         sensor bank with stuck/spike faults)
-//   --out PATH            scores CSV (default: quorum_stream_scores.csv;
-//                         --output is an alias)
-//   --label-column K      0/1 label column for evaluation (-1 = none)
-//   --no-header           input has no header row
-//   --samples N           demo stream length (default 256)
-//   --anomalies N         demo anomalies (default 10)
-//   --features N          demo raw features (default 8)
-//   --drift A             demo drift amplitude (default 0.12)
-//   --drift-period P      demo drift period in arrivals (default 160)
-//   --window N            sliding-window length (default 8)
-//   --rebucket N          arrivals per re-bucketing epoch (default 64)
-//   --groups N            ensemble groups (default 32)
-//   --shots N             shots per circuit (default 4096)
-//   --qubits N            register size (default 3)
-//   --rate R              estimated anomaly rate (default 0.03)
-//   --bucket-prob P       bucket containment probability (default 0.75)
-//   --mode M              exact | sampled | per_shot | noisy
-//                         (default sampled)
-//   --encoding E          amplitude | angle (default amplitude)
-//   --backend B           execution engine (default auto)
-//   --schedule S          span planning for wrapper backends: static or
-//                         dynamic[:grain] (identical scores; default
-//                         static)
-//   --no-fused            per-level evaluation instead of the fused
-//                         session (identical scores; A/B hatch)
-//   --seed S              master seed (default 2025)
-//   --top K               print the K strongest suspects (default 10)
-//   --help                this text
+// `quorum_stream --help` lists every flag; tools/README.md explains them.
 #include <algorithm>
-#include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <limits>
 #include <numeric>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "data/csv.h"
 #include "data/generators.h"
-#include "exec/registry.h"
 #include "metrics/confusion.h"
 #include "metrics/report.h"
 #include "metrics/roc.h"
 #include "qml/angle_encoding.h"
 #include "stream/stream_scorer.h"
+#include "util/contracts.h"
 #include "util/parse.h"
 #include "util/rng.h"
 #include "util/timer.h"
@@ -78,89 +46,59 @@ struct cli_options {
     std::size_t demo_features = 8;
     double drift_amplitude = 0.12;
     double drift_period = 160.0;
-    quorum::stream::stream_config config;
+    quorum::stream::stream_config config = [] {
+        quorum::stream::stream_config config;
+        config.detector.ensemble_groups = 32;
+        config.detector.mode = quorum::core::exec_mode::sampled;
+        return config;
+    }();
 };
 
 void print_usage() {
     std::cout <<
         "quorum_stream — online Quorum anomaly scoring over a stream\n"
         "\n"
-        "  quorum_stream --demo [--scenario drift|sensors] [--samples N]\n"
-        "                [--anomalies N] [--features N] [--drift A]\n"
-        "                [--drift-period P]\n"
-        "  quorum_stream --input data.csv [--label-column K] [--no-header]\n"
-        "  common: [--out scores.csv] [--window N] [--rebucket N]\n"
-        "          [--groups N] [--shots N] [--qubits N] [--rate R]\n"
-        "          [--bucket-prob P]\n"
-        "          [--mode exact|sampled|per_shot|noisy] [--backend B]\n"
-        "          [--encoding amplitude|angle]\n"
-        "          [--schedule static|dynamic[:grain]]\n"
-        "          [--no-fused] [--seed S] [--top K]\n"
+        "  quorum_stream --input data.csv [options]\n"
+        "  quorum_stream --demo [options]\n"
         "\n"
-        "registered backends:";
-    for (const std::string& name : quorum::exec::backend_names()) {
-        std::cout << " " << name;
-    }
-    std::cout << "\n";
+        "  --input PATH          CSV whose rows arrive in order (else "
+        "--demo)\n"
+        "  --demo                score a bundled synthetic stream instead\n"
+        "  --scenario S          demo stream family: drift (drifting "
+        "clusters,\n"
+        "                        default) or sensors (correlated sensor "
+        "bank\n"
+        "                        with stuck/spike faults)\n"
+        "  --samples N           demo stream length (default 256)\n"
+        "  --anomalies N         demo anomalies (default 10)\n"
+        "  --features N          demo raw features (default 8)\n"
+        "  --drift A             demo drift amplitude (default 0.12)\n"
+        "  --drift-period P      demo drift period in arrivals (default "
+        "160)\n"
+        "  --out PATH            scores CSV (default "
+        "quorum_stream_scores.csv;\n"
+        "                        --output is an alias)\n"
+        "  --label-column K      0/1 label column for evaluation (-1 = "
+        "none)\n"
+        "  --no-header           input has no header row\n"
+        "  --top K               print the K strongest suspects (default "
+        "10)\n"
+        "  --window N            sliding-window length (default 8)\n"
+        "  --rebucket N          arrivals per re-bucketing epoch (default "
+        "64)\n"
+        "  --no-fused            per-level evaluation instead of the fused\n"
+        "                        session (identical scores; A/B hatch)\n"
+        "  --help                this text\n";
+    quorum::core::print_detector_flags(std::cout,
+                                       cli_options{}.config.detector);
 }
 
-// Strict flag parsing shared with the other tools (util/parse.h).
-using quorum::util::parse_count;
-using quorum::util::parse_int;
-using quorum::util::parse_real;
-
-bool parse_mode(const std::string& text, quorum::core::exec_mode& mode) {
-    using quorum::core::exec_mode;
-    if (text == "exact") {
-        mode = exec_mode::exact;
-    } else if (text == "sampled") {
-        mode = exec_mode::sampled;
-    } else if (text == "per_shot") {
-        mode = exec_mode::per_shot;
-    } else if (text == "noisy") {
-        mode = exec_mode::noisy;
-    } else {
-        return false;
-    }
-    return true;
-}
-
-bool parse_arguments(int argc, char** argv, cli_options& options) {
-    options.config.detector.ensemble_groups = 32;
-    options.config.detector.mode = quorum::core::exec_mode::sampled;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto next = [&]() -> const char* {
-            if (i + 1 >= argc) {
-                std::cerr << "missing value for " << arg << "\n";
-                return nullptr;
-            }
-            return argv[++i];
-        };
-        const auto next_count = [&](auto& out) -> bool {
-            const char* v = next();
-            if (v == nullptr) {
-                return false;
-            }
-            if (!parse_count(v, out)) {
-                std::cerr << "invalid value for " << arg << ": " << v
-                          << "\n";
-                return false;
-            }
-            return true;
-        };
-        const auto next_real = [&](double& out) -> bool {
-            const char* v = next();
-            if (v == nullptr) {
-                return false;
-            }
-            if (!parse_real(v, out)) {
-                std::cerr << "invalid value for " << arg << ": " << v
-                          << "\n";
-                return false;
-            }
-            return true;
-        };
+void parse_arguments(int argc, char** argv, cli_options& options) {
+    for (quorum::util::flag_cursor args(argc, argv); args.next();) {
+        const std::string_view arg = args.flag();
+        if (quorum::core::parse_detector_flag(args, options.config.detector)) {
+            continue;
+        }
         if (arg == "--help" || arg == "-h") {
             print_usage();
             std::exit(0);
@@ -169,135 +107,42 @@ bool parse_arguments(int argc, char** argv, cli_options& options) {
         } else if (arg == "--no-header") {
             options.has_header = false;
         } else if (arg == "--input") {
-            const char* v = next();
-            if (v == nullptr) {
-                return false;
-            }
-            options.input = v;
+            options.input = args.value();
         } else if (arg == "--out" || arg == "--output") {
-            const char* v = next();
-            if (v == nullptr) {
-                return false;
-            }
-            options.output = v;
+            options.output = args.value();
         } else if (arg == "--label-column") {
-            const char* v = next();
-            if (v == nullptr || !parse_int(v, options.label_column)) {
-                if (v != nullptr) {
-                    std::cerr << "invalid value for " << arg << ": " << v
-                              << "\n";
-                }
-                return false;
-            }
+            args.integer(options.label_column);
         } else if (arg == "--scenario") {
-            const char* v = next();
-            if (v == nullptr) {
-                return false;
+            options.scenario = args.value();
+            if (options.scenario != "drift" && options.scenario != "sensors") {
+                args.reject(options.scenario, "drift | sensors");
             }
-            if (std::string(v) != "drift" && std::string(v) != "sensors") {
-                std::cerr << "unknown scenario: " << v
-                          << " (drift | sensors)\n";
-                return false;
-            }
-            options.scenario = v;
         } else if (arg == "--samples") {
-            if (!next_count(options.demo_samples)) {
-                return false;
-            }
+            args.count(options.demo_samples);
         } else if (arg == "--anomalies") {
-            if (!next_count(options.demo_anomalies)) {
-                return false;
-            }
+            args.count(options.demo_anomalies);
         } else if (arg == "--features") {
-            if (!next_count(options.demo_features)) {
-                return false;
-            }
+            args.count(options.demo_features);
         } else if (arg == "--drift") {
-            if (!next_real(options.drift_amplitude)) {
-                return false;
-            }
+            args.real(options.drift_amplitude);
         } else if (arg == "--drift-period") {
-            if (!next_real(options.drift_period)) {
-                return false;
-            }
+            args.real(options.drift_period);
         } else if (arg == "--window") {
-            if (!next_count(options.config.window)) {
-                return false;
-            }
+            args.count(options.config.window);
         } else if (arg == "--rebucket") {
-            if (!next_count(options.config.rebucket_interval)) {
-                return false;
-            }
-        } else if (arg == "--groups") {
-            if (!next_count(options.config.detector.ensemble_groups)) {
-                return false;
-            }
-        } else if (arg == "--shots") {
-            if (!next_count(options.config.detector.shots)) {
-                return false;
-            }
-        } else if (arg == "--qubits") {
-            if (!next_count(options.config.detector.n_qubits)) {
-                return false;
-            }
-        } else if (arg == "--rate") {
-            if (!next_real(options.config.detector.estimated_anomaly_rate)) {
-                return false;
-            }
-        } else if (arg == "--bucket-prob") {
-            if (!next_real(options.config.detector.bucket_probability)) {
-                return false;
-            }
+            args.count(options.config.rebucket_interval);
+        } else if (arg == "--top") {
+            args.count(options.top);
         } else if (arg == "--no-fused") {
             options.config.detector.fused_levels = false;
-        } else if (arg == "--seed") {
-            if (!next_count(options.config.detector.seed)) {
-                return false;
-            }
-        } else if (arg == "--top") {
-            if (!next_count(options.top)) {
-                return false;
-            }
-        } else if (arg == "--mode") {
-            const char* v = next();
-            if (v == nullptr ||
-                !parse_mode(v, options.config.detector.mode)) {
-                std::cerr << "unknown mode\n";
-                return false;
-            }
-        } else if (arg == "--encoding") {
-            const char* v = next();
-            if (v == nullptr ||
-                !quorum::qml::parse_encoding(
-                    v, options.config.detector.encoding)) {
-                if (v != nullptr) {
-                    std::cerr << "unknown encoding: " << v
-                              << " (amplitude | angle)\n";
-                }
-                return false;
-            }
-        } else if (arg == "--backend") {
-            const char* v = next();
-            if (v == nullptr) {
-                return false;
-            }
-            options.config.detector.backend = v;
-        } else if (arg == "--schedule") {
-            const char* v = next();
-            if (v == nullptr) {
-                return false;
-            }
-            options.config.detector.schedule = v;
         } else {
-            std::cerr << "unknown option: " << arg << "\n";
-            return false;
+            args.unknown();
         }
     }
     if (!options.demo && options.input.empty()) {
-        std::cerr << "either --input or --demo is required\n";
-        return false;
+        throw quorum::util::contract_error(
+            "either --input or --demo is required");
     }
-    return true;
 }
 
 double percentile(std::vector<double> sorted_values, double q) {
@@ -318,12 +163,9 @@ int main(int argc, char** argv) {
     using namespace quorum;
     cli_options options;
     try {
-        if (!parse_arguments(argc, argv, options)) {
-            print_usage();
-            return 2;
-        }
-    } catch (const std::exception& error) {
-        std::cerr << "bad option value: " << error.what() << "\n";
+        parse_arguments(argc, argv, options);
+    } catch (const util::contract_error& error) {
+        std::cerr << error.what() << "\n";
         print_usage();
         return 2;
     }
